@@ -12,13 +12,16 @@ pairing of the flow field against the co-orienting one-form of the
 boundary cylinder, swept over the modulus and phase of beta, the cylinder
 parameter d and the fiber phase z.
 
-The commutator definition of the fields is the primitive object and is
-cross-checked against closed forms on every sweep cell; margins are
-evaluated through the (algebraically identical) closed forms in a
-cancellation-safe order, which is what makes the exact vanishing at
-beta = 0 visible at the 1e-12 level.  The pairing keeps a constant sign
-across the admissible regime (the unstated co-orientation); the margin
-uses its absolute value and the sweep asserts the sign constancy.
+Every closed form is written once, in the broadcasting kernel
+``_closed_forms``; ``alpha_closed_forms`` and ``certificate_margin`` are
+its scalar views and ``sweep`` evaluates it on (d, z) blocks.  The
+commutator definition of the fields is the primitive object, kept
+independent of the kernel and compared against it on every sweep cell.
+Margins are evaluated in a cancellation-safe order, which is what makes
+the exact vanishing at beta = 0 visible at the 1e-12 level.  The pairing
+keeps a constant sign across the admissible regime (the unstated
+co-orientation); the margin uses its absolute value and the sweep asserts
+the sign constancy.
 
 Pure evaluation; sweep cells are independent.
 """
@@ -101,16 +104,28 @@ class NilpotentFlagMat:
         m = np.asarray(self.mat, dtype=complex)
         if m.shape != (3, 3):
             raise GeometryError(f"NilpotentFlagMat: expected 3x3, got {m.shape}")
-        s = np.linalg.svd(m, compute_uv=False)
-        if s[0] <= 0 or s[1] > 1e-10 * s[0]:
-            raise GeometryError("NilpotentFlagMat: not rank one")
-        if float(np.abs(m @ m).max()) > 1e-12 * max(1.0, s[0] ** 2):
-            raise GeometryError("NilpotentFlagMat: square is not zero")
-        if abs(complex(np.trace(m))) > 1e-12 * max(1.0, s[0]):
-            raise GeometryError("NilpotentFlagMat: trace is not zero")
+        _check_flag_mats(m)
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "mat", m)
+
+
+def _check_flag_mats(m: np.ndarray) -> None:
+    """Raise unless every 3x3 matrix of the stack m is rank one, square zero, trace free."""
+    s = np.linalg.svd(m, compute_uv=False)
+    s0 = s[..., 0]
+    if np.any(s0 <= 0) or np.any(s[..., 1] > 1e-10 * s0):
+        raise GeometryError("NilpotentFlagMat: not rank one")
+    if np.any(np.abs(m @ m).max(axis=(-2, -1)) > 1e-12 * np.maximum(1.0, s0**2)):
+        raise GeometryError("NilpotentFlagMat: square is not zero")
+    if np.any(np.abs(np.trace(m, axis1=-2, axis2=-1)) > 1e-12 * np.maximum(1.0, s0)):
+        raise GeometryError("NilpotentFlagMat: trace is not zero")
+
+
+def _stack33(rows) -> np.ndarray:
+    """A 3x3 matrix of broadcastable entries as one array of shape (..., 3, 3)."""
+    entries = np.broadcast_arrays(*(np.asarray(e, dtype=complex) for row in rows for e in row))
+    return np.stack(entries, -1).reshape(entries[0].shape + (3, 3))
 
 
 def _check_beta(beta) -> complex:
@@ -135,16 +150,16 @@ def _ed_closed(d: float) -> np.ndarray:
 
 
 def _hprime_closed(beta: complex, d) -> np.ndarray:
+    """H' = Ed^-1 H Ed in closed form, stacked over d: shape d.shape + (3, 3)."""
     ch, sh = np.cosh(d), np.sinh(d)
     b, bb = beta, np.conj(beta)
     c2 = ch * ch + sh * sh
-    return np.array(
-        [
-            [2j * ch * sh, b * ch + 1j * bb * sh, c2],
-            [bb * ch + 1j * b * sh, 0.0 * ch, b * ch - 1j * bb * sh],
-            [c2, bb * ch - 1j * b * sh, -2j * ch * sh],
-        ],
-        dtype=complex,
+    return _stack33(
+        (
+            (2j * ch * sh, b * ch + 1j * bb * sh, c2),
+            (bb * ch + 1j * b * sh, 0.0, b * ch - 1j * bb * sh),
+            (c2, bb * ch - 1j * b * sh, -2j * ch * sh),
+        )
     )
 
 
@@ -185,21 +200,25 @@ def model_matrices(beta, d: float) -> ModelMatrices:
     return mm
 
 
+def _projector_mats(z) -> np.ndarray:
+    """Flag matrices of the fiber flags at unit phases z, z.shape + (3, 3), rank unchecked."""
+    z = np.asarray(z, dtype=complex)
+    bad = ~(np.abs(np.abs(z) - 1.0) <= 1e-12)
+    if np.any(bad):
+        raise GeometryError(f"projector_pi: |z| = {np.abs(z[bad]).flat[0]} != 1")
+    zb = np.conj(z)
+    return 0.25 * _stack33(
+        (
+            (-1.0, _SQRT2 * z, -z * z),
+            (-_SQRT2 * zb, 2.0, -_SQRT2 * z),
+            (-zb * zb, _SQRT2 * zb, -1.0),
+        )
+    )
+
+
 def projector_pi(z) -> NilpotentFlagMat:
     """The rank-one flag matrix of the fiber flag at unit phase z."""
-    zc = complex(z)
-    if abs(abs(zc) - 1.0) > 1e-12:
-        raise GeometryError(f"projector_pi: |z| = {abs(zc)} != 1")
-    zb = np.conj(zc)
-    m = 0.25 * np.array(
-        [
-            [-1.0, _SQRT2 * zc, -zc * zc],
-            [-_SQRT2 * zb, 2.0, -_SQRT2 * zc],
-            [-zb * zb, _SQRT2 * zb, -1.0],
-        ],
-        dtype=complex,
-    )
-    return NilpotentFlagMat(m)
+    return NilpotentFlagMat(_projector_mats(complex(z)))
 
 
 def projector_flag(pi: NilpotentFlagMat) -> Flag:
@@ -258,49 +277,42 @@ def alpha_coefficient(mat) -> complex:
     return complex(m[2, 0])
 
 
+def _closed_forms(beta: complex, d, z):
+    """Closed forms over broadcast (beta, d, z): (a1, a2, p_scaled, margin, eta).
+
+    a1, a2 are the corner coefficients of the two commutator fields and
+    p_scaled is the pairing P = Im(a1 conj(a2)) over cosh(2d); margin =
+    |P| - (cosh(2d)/2)(1 - |beta|) and eta = |P|/cosh^2 d.  With |z| = 1
+    the constant part of p_scaled is -1/2 identically; writing it as that
+    constant keeps the beta = 0 cancellation exact instead of carrying
+    cosh(2d)-scaled roundoff.
+    """
+    zb = np.conj(z)
+    sh = np.sinh(d)
+    q2 = np.cosh(2.0 * d)
+    u = zb**4
+    a1 = (3.0 - u) * q2 / 4.0 - _SQRT2 * 1j * beta * zb * sh
+    a2 = (3.0 + u) * 1j / 4.0
+    p_scaled = -0.5 + sh / q2 * (-(_SQRT2 / 4.0) * np.imag(3.0 * beta * zb + beta * z**3))
+    margin = q2 * (np.abs(p_scaled) - 0.5 * (1.0 - abs(beta)))
+    eta = q2 * np.abs(p_scaled) / np.cosh(d) ** 2
+    return a1, a2, p_scaled, margin, eta
+
+
 def alpha_closed_forms(beta, d: float, z) -> tuple[complex, complex]:
     """Closed forms of the corner coefficients of the two commutator fields."""
-    b = _check_beta(beta)
-    zc = complex(z)
-    zb = np.conj(zc)
-    ch, sh = math.cosh(d), math.sinh(d)
-    a1 = (3.0 - zb**4) * (ch * ch + sh * sh) / 4.0 - _SQRT2 * 1j * b * zb * sh
-    a2 = (3.0 + zb**4) * 1j / 4.0
+    a1, a2, _, _, _ = _closed_forms(_check_beta(beta), float(d), complex(z))
     return complex(a1), complex(a2)
-
-
-def _stable_pairing_parts(beta: complex, d, z):
-    """Return (Q2, A, B) with pairing P = Q2*A + sinh(d)*B.
-
-    With |z| = 1 the fourth-power term has unit modulus exactly, so the
-    constant part A of the scaled pairing is -1/2 identically; evaluating
-    it as the algebraic constant keeps the beta = 0 cancellation exact
-    instead of carrying cosh(2d)-scaled roundoff.
-    """
-    z = np.asarray(z, dtype=complex)
-    d = np.asarray(d, dtype=float)
-    q2 = np.cosh(2.0 * d)
-    a = -0.5
-    b_term = -(_SQRT2 / 4.0) * np.imag(3.0 * beta * np.conj(z) + beta * z**3)
-    return q2, a, b_term
 
 
 def certificate_margin(beta, d: float, z) -> tuple[float, float]:
     """Margin and eta value of the swept inequality at one grid cell.
 
-    P is the pairing Im(alpha(M1) conj(alpha(M2))) of the two commutator
-    fields (evaluated through the cross-checked closed forms in a
-    cancellation-safe order);
-    margin = |P| - ((cosh^2 d + sinh^2 d)/2)(1 - |beta|), eta = |P|/cosh^2 d.
-    Both are nonnegative-to-roundoff on the admissible regime, margin
-    vanishing identically at beta = 0.
+    Both are nonnegative-to-roundoff on the admissible regime, the margin
+    vanishing identically at beta = 0 (see ``_closed_forms``).
     """
-    b = _check_beta(beta)
-    q2, a, bt = _stable_pairing_parts(b, float(d), complex(z))
-    p_scaled = a + math.sinh(d) / float(q2) * float(bt)
-    margin = float(q2) * (abs(p_scaled) - 0.5 * (1.0 - abs(b)))
-    eta = float(q2) * abs(p_scaled) / math.cosh(d) ** 2
-    return margin, eta
+    _, _, _, margin, eta = _closed_forms(_check_beta(beta), float(d), complex(z))
+    return float(margin), float(eta)
 
 
 @dataclass(frozen=True)
@@ -320,8 +332,8 @@ class CertGrid:
                 raise RegimeError(f"beta modulus {m} outside [0, 1)")
         if self.beta_phases < 1 or self.z_phases < 1:
             raise GeometryError("CertGrid: counts must be positive")
-        if self.d_max <= 0 or self.d_step <= 0:
-            raise GeometryError("CertGrid: d range must be positive")
+        if not (0.0 < self.d_max < math.inf and 0.0 < self.d_step < math.inf):
+            raise GeometryError("CertGrid: d_max and d_step must be positive and finite")
         object.__setattr__(self, "beta_moduli", moduli)
 
     def d_values(self) -> np.ndarray:
@@ -384,38 +396,25 @@ class CertReport:
         }
 
 
-def _oracle_alphas_batch(beta: complex, d: np.ndarray, z: np.ndarray):
-    """Corner coefficients of the commutator fields over a (d, z) block."""
-    nd, nz = d.size, z.size
-    hp = np.empty((nd, 1, 3, 3), dtype=complex)
-    for i, dv in enumerate(d):
-        hp[i, 0] = _hprime_closed(beta, float(dv))
-    p = np.empty((1, nz, 3, 3), dtype=complex)
-    for j, zv in enumerate(z):
-        p[0, j] = projector_pi(zv).mat
-    p = np.broadcast_to(p, (nd, nz, 3, 3))
-    m1 = _field_from(np.broadcast_to(hp, (nd, nz, 3, 3)), p)
-    m2 = _field_from(np.broadcast_to(_H0PERP, (nd, nz, 3, 3)), p)
-    return m1[..., 2, 0], m2[..., 2, 0]
+def _oracle_alphas_batch(beta: complex, d: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """(3,1) corners of the commutator field of H' over d (column) and projectors p."""
+    return _field_from(_hprime_closed(beta, d)[:, None], p)[..., 2, 0]
 
 
 def sweep(grid: CertGrid) -> CertReport:
     """Evaluate the certificate over the grid and record minima and checks.
 
-    Margins and eta values come from the stable closed-form path; on every
-    cell the commutator-oracle corner coefficients are compared against
-    the closed forms and the worst deviation is reported.
+    Margins and eta values come from ``_closed_forms``; on every cell the
+    commutator-oracle corner coefficients are compared against the closed
+    forms and the worst deviation is reported.  The fiber projectors and
+    the beta-independent H0perp field are built once per sweep.
     """
     t0 = time.perf_counter()
     d = grid.d_values()
     z = grid.z_values()
-    zb = np.conj(z)
-    sh = np.sinh(d)[:, None]
-    ch2 = np.cosh(d)[:, None] ** 2
-    q2 = np.cosh(2.0 * d)[:, None]
-    u = zb[None, :] ** 4
-    a_part = -0.5
-    a1c_base = (3.0 - u) * q2 / 4.0
+    p = _projector_mats(z)
+    _check_flag_mats(p)
+    a2o = _field_from(_H0PERP, p)[:, 2, 0]
 
     min_margin = math.inf
     min_eta = math.inf
@@ -429,16 +428,11 @@ def sweep(grid: CertGrid) -> CertReport:
 
     for beta in grid.beta_values():
         babs = abs(beta)
-        b_part = -(_SQRT2 / 4.0) * np.imag(3.0 * beta * zb + beta * z**3)[None, :]
-        p_scaled = a_part + sh / q2 * b_part
+        a1c, a2c, p_scaled, margins, etas = _closed_forms(beta, d[:, None], z[None, :])
         sign_constant &= bool(np.all(p_scaled < 0.0))
-        margins = q2 * (np.abs(p_scaled) - 0.5 * (1.0 - babs))
-        etas = q2 * np.abs(p_scaled) / ch2
         n_cells += margins.size
 
-        a1o, a2o = _oracle_alphas_batch(beta, d, z)
-        a1c = a1c_base - _SQRT2 * 1j * beta * zb[None, :] * sh
-        a2c = np.broadcast_to((3.0 + u) * 1j / 4.0, a1c.shape)
+        a1o = _oracle_alphas_batch(beta, d, p)
         dev = max(float(np.abs(a1o - a1c).max()), float(np.abs(a2o - a2c).max()))
         oracle_dev = max(oracle_dev, dev)
 

@@ -1,8 +1,9 @@
 """Command-line front end: sweeps, solves, scans and certifications.
 
 Exit codes: 0 success, 1 certificate or solve failure, 2 usage error.
-Reports are JSON with sorted keys (byte-identical for identical seeds and
-flags); bulk fields and scans are CSV.
+Reports are JSON with sorted keys, byte-identical for identical seeds and
+flags except the certificate report's ``runtime_s`` (the sweep's wall
+time); bulk fields and scans are CSV.
 """
 
 from __future__ import annotations

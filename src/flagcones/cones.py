@@ -38,6 +38,7 @@ from .plane import (
     BoundaryPoint,
     PlanePoint,
     ReduciblePlaneFrame,
+    _wrap_angle,
     embedded_rotation,
     plane_sqrt_frame,
     project,
@@ -57,6 +58,7 @@ MODEL_SIDE_FLAGS = (BoundaryPoint(3 * math.pi / 4).flag, BoundaryPoint(math.pi /
 _ROT_OFFSET = embedded_rotation(-math.pi / 4)
 
 DEFAULT_TOL = 1e-6
+DEFAULT_LAM_CAP = 64.0
 DEFAULT_LOGLAM_RANGE = (-6.0, 6.0)
 DEFAULT_WEDGE_SAMPLES = 256
 
@@ -223,10 +225,7 @@ def _shift_position(kind: str, value: float, lam: float):
         return kind, value - 2.0 * lam
     phi = 0.5 * (value + math.pi)
     phi2 = math.atan2(math.exp(-lam) * math.sin(phi), math.exp(lam) * math.cos(phi))
-    out = math.fmod(2.0 * phi2 - math.pi + math.pi, 2 * math.pi)
-    if out <= 0:
-        out += 2 * math.pi
-    return kind, out - math.pi
+    return kind, _wrap_angle(2.0 * phi2 - math.pi)
 
 
 def _inner_positions(outer: Multicone, inner: Multicone, n_samples: int):
@@ -270,7 +269,7 @@ def nest_estimate(
     cone_inner: Multicone,
     n_samples: int = 1024,
     tol: float = DEFAULT_TOL,
-    lam_cap: float = 64.0,
+    lam_cap: float = DEFAULT_LAM_CAP,
 ) -> NestEstimate:
     """Largest contraction amount keeping the inner boundary inside the outer cone.
 
@@ -285,11 +284,16 @@ def nest_estimate(
         raise GeometryError("nest_estimate: cones are not nested")
     fplus = endpoint_flags(cone_inner)[0]
     fminus = endpoint_flags(cone_outer)[1]
+    return NestEstimate(_nest_lower(positions, tol, lam_cap), fplus, fminus, len(positions))
+
+
+def _nest_lower(positions, tol: float, lam_cap: float) -> float:
+    """Bisected largest contraction amount keeping nested positions inside."""
     hi = 1.0
     while hi < lam_cap and _all_inside(positions, hi, tol):
         hi *= 2.0
     if hi >= lam_cap:
-        return NestEstimate(lam_cap, fplus, fminus, len(positions))
+        return lam_cap
     lo = 0.0 if hi == 1.0 else hi / 2.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
@@ -297,7 +301,7 @@ def nest_estimate(
             lo = mid
         else:
             hi = mid
-    return NestEstimate(lo, fplus, fminus, len(positions))
+    return lo
 
 
 def limit_flag(cones, n_samples: int = 1024, tol: float = DEFAULT_TOL) -> Flag:

@@ -192,12 +192,16 @@ def _laplacian(values: np.ndarray, dom: DomainSpec) -> np.ndarray:
     return out
 
 
+def _equation_residual(v: np.ndarray, datum: HiggsDatum, dom: DomainSpec) -> np.ndarray:
+    """(1/4) lap v - |t|^2 e^v + e^(-2v) on raw node values, which may be non-finite."""
+    return 0.25 * _laplacian(v, dom) - datum.t_abs2 * np.exp(v) + np.exp(-2.0 * v)
+
+
 def residual(u: ScalarField, datum: HiggsDatum, dom: DomainSpec) -> ScalarField:
     """(1/4) lap u - |t|^2 e^u + e^(-2u), on interior nodes (zero elsewhere)."""
     if u.dom is not dom and u.dom.shape != dom.shape:
         raise DomainError("field and domain shapes disagree")
-    v = u.values
-    r = 0.25 * _laplacian(v, dom) - datum.t_abs2 * np.exp(v) + np.exp(-2.0 * v)
+    r = _equation_residual(u.values, datum, dom)
     mask = dom.interior_mask()
     out = np.zeros_like(r)
     out[mask] = r[mask]
@@ -223,7 +227,7 @@ class SolveReport:
 
 
 def _interior_operator(dom: DomainSpec):
-    """Sparse (1/4) lap on unknowns, plus index bookkeeping for the disk."""
+    """Sparse (1/4) lap on the unknowns (interior nodes in row-major order)."""
     n = dom.n
     hx, hy = dom.spacings()
     if dom.kind == "torus":
@@ -234,7 +238,7 @@ def _interior_operator(dom: DomainSpec):
         d1 = d1.tocsr()
         eye = scipy.sparse.identity(n, format="csr")
         lap = scipy.sparse.kron(d1 / hx**2, eye) + scipy.sparse.kron(eye, d1 / hy**2)
-        return 0.25 * lap.tocsr(), None
+        return 0.25 * lap.tocsr()
     mask = dom.interior_mask()
     idx = -np.ones(dom.shape, dtype=int)
     order = np.argwhere(mask)
@@ -252,7 +256,7 @@ def _interior_operator(dom: DomainSpec):
                 cols.append(idx[ii, jj])
                 vals.append(w)
     lap = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(len(order), len(order)))
-    return 0.25 * lap, (mask, order)
+    return 0.25 * lap
 
 
 def solve(
@@ -276,14 +280,9 @@ def solve(
             base = dom.reference_profile()
         u0 = ScalarField(base, dom)
     values = u0.values.copy()
-    op, disk_info = _interior_operator(dom)
+    op = _interior_operator(dom)
     mask = dom.interior_mask()
-
-    def full_residual(v):
-        r = 0.25 * _laplacian(v, dom) - datum.t_abs2 * np.exp(v) + np.exp(-2.0 * v)
-        return r[mask]
-
-    r = full_residual(values)
+    r = _equation_residual(values, datum, dom)[mask]
     rnorm = float(np.abs(r).max())
     iterations = 0
     for iterations in range(1, max_iter + 1):
@@ -298,7 +297,7 @@ def solve(
         for _ in range(40):
             trial = values.copy()
             trial[mask] = values[mask] + t * step
-            rt = full_residual(trial)
+            rt = _equation_residual(trial, datum, dom)[mask]
             if float(np.dot(rt, rt)) <= (1.0 - 1e-4 * t) * phi0:
                 values, r = trial, rt
                 rnorm = float(np.abs(r).max())

@@ -29,7 +29,6 @@ from .flags import (
     ProjectiveCovector,
     ProjectivePoint,
     SpdPoint,
-    TangentDir,
     pullback_flag,
     act_on_flag,
     thickening_contains,
@@ -38,10 +37,6 @@ from .flags import (
 #: Tangent direction of the plane at the identity along the a/b axis.
 AXIS_DIRECTION = np.diag([1.0, 0.0, -1.0])
 AXIS_DIRECTION.setflags(write=False)
-
-#: Tangent direction orthogonal to AXIS_DIRECTION inside the plane.
-ORTHO_DIRECTION = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-ORTHO_DIRECTION.setflags(write=False)
 
 
 class ProjectionError(RuntimeError):
@@ -70,15 +65,6 @@ def embedded_rotation(psi: float) -> GroupElem:
     """
     c, s = math.cos(psi), math.sin(psi)
     return GroupElem(embed_sl2([[c, -s], [s, c]]))
-
-
-def plane_direction(angle: float) -> TangentDir:
-    """Unit tangent direction of the plane at the identity, by angle.
-
-    angle 0 is the a/b axis direction diag(1,0,-1); angle pi/2 is the
-    off-diagonal direction.
-    """
-    return TangentDir(math.cos(angle) * AXIS_DIRECTION + math.sin(angle) * ORTHO_DIRECTION)
 
 
 @dataclass(frozen=True, eq=False)

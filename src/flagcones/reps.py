@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flags import Flag, GeometryError, GroupElem, ProjectiveCovector, ProjectivePoint
-from .cones import Multicone, is_nested, nest_estimate
+from .cones import DEFAULT_LAM_CAP, DEFAULT_TOL, Multicone, _all_inside, _inner_positions, _nest_lower
 from .plane import conic_eval, dual_conic_eval
 
 GENERATOR_NAMES = ("a1", "b1", "a2", "b2")
@@ -474,10 +474,12 @@ def flow_nesting_certify(
         if t < 0 or not np.isfinite(t):
             raise GeometryError("times must be nonnegative")
         inner = base.translated_along_axis(t)
-        nested = is_nested(base, inner, n_boundary_samples)
+        # is_nested then nest_estimate, sharing one set of sampled positions
+        positions = _inner_positions(base, inner, n_boundary_samples)
+        nested = _all_inside(positions, 0.0, DEFAULT_TOL)
         entry = {"t": t, "nested": bool(nested), "estimate": None}
         if nested:
-            entry["estimate"] = nest_estimate(base, inner, n_boundary_samples).lower
+            entry["estimate"] = _nest_lower(positions, DEFAULT_TOL, DEFAULT_LAM_CAP)
         all_nested = all_nested and nested
         results.append(entry)
     return {

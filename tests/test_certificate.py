@@ -279,3 +279,37 @@ def test_pushforward_zero_step_all_boundary():
     rep = pushforward_check(0.0, 0.0, n_samples=64)
     assert rep["boundary"] == rep["samples"]
     assert rep["inside"] == 0
+
+
+def test_batched_oracle_matches_per_cell_commutator_fields():
+    # the sweep's loop-free oracle agrees with the per-cell commutator
+    # fields and projectors it replaces
+    from flagcones.certificate import _oracle_alphas_batch, _projector_mats
+
+    d = np.linspace(-5.0, 5.0, 11)
+    z = np.exp(1j * np.linspace(0, 2 * math.pi, 8, endpoint=False))
+    beta = 0.6 * np.exp(0.7j)
+    p = _projector_mats(z)
+    a1o = _oracle_alphas_batch(beta, d, p)
+    assert a1o.shape == (d.size, z.size)
+    for j, zv in enumerate(z):
+        assert np.abs(p[j] - projector_pi(zv).mat).max() <= 1e-15
+        for i, dv in enumerate(d):
+            a1 = alpha_coefficient(commutator_fields(beta, dv, zv)[0])
+            assert abs(a1o[i, j] - a1) <= 1e-12 * max(1.0, abs(a1))
+
+
+def test_sweep_oracle_catches_a_wrong_closed_form(monkeypatch):
+    # the oracle is evaluated independently of the closed-form kernel, so a
+    # kernel whose a1 is off by 1e-8 must show up in oracle_dev
+    from flagcones import certificate
+
+    kernel = certificate._closed_forms
+
+    def shifted(beta, d, z):
+        a1, *rest = kernel(beta, d, z)
+        return (a1 + 1e-8, *rest)
+
+    monkeypatch.setattr(certificate, "_closed_forms", shifted)
+    grid = CertGrid(beta_moduli=(0.0, 0.5), beta_phases=2, z_phases=8, d_step=0.5)
+    assert sweep(grid).oracle_dev > 1e-10

@@ -35,6 +35,17 @@ def test_certificate_rejects_beta_one(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "flag, value", [("--d-step", "nan"), ("--d-step", "inf"), ("--d-max", "inf"), ("--d-max", "nan")]
+)
+def test_certificate_rejects_non_finite_d_range(tmp_path, capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        run(["certificate", flag, value, "--out", str(tmp_path / "r.json")])
+    assert exc.value.code == 2
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_solve_torus_command(tmp_path):
     prefix = tmp_path / "run"
     code = run(
