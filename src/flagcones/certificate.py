@@ -334,6 +334,8 @@ class CertGrid:
             raise GeometryError("CertGrid: counts must be positive")
         if not (0.0 < self.d_max < math.inf and 0.0 < self.d_step < math.inf):
             raise GeometryError("CertGrid: d_max and d_step must be positive and finite")
+        if not 2 * self.d_max / self.d_step < np.iinfo(np.intp).max:
+            raise GeometryError("CertGrid: d_step too small, 2*d_max/d_step is no finite array length")
         object.__setattr__(self, "beta_moduli", moduli)
 
     def d_values(self) -> np.ndarray:

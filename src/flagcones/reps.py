@@ -16,8 +16,14 @@ extracts attracting eigenflags, ``conic_position_check`` locates them
 relative to the fibration conic, and ``flow_nesting_certify`` runs the
 cone-nestedness certificate along an axis flow.
 
-Word evaluation is embarrassingly parallel; enumeration order is
-deterministic (length, then lexicographic).
+Words are handled as arrays of letter indices into ``LETTERS`` and
+evaluated in batches: a stack of N words is multiplied left to right as
+one (N,3,3) matmul per position against the (8,3,3) letter stack of the
+representation, and each exhaustive length is the previous length's
+product stack times its 7 reduced successors.  Sampling takes one seeded
+draw per length, letter for letter the draws of ``random_reduced_word``.
+Enumeration order is deterministic (length, then lexicographic in
+``LETTERS`` order).
 """
 
 from __future__ import annotations
@@ -36,6 +42,13 @@ GENERATOR_NAMES = ("a1", "b1", "a2", "b2")
 OCTAGON_HALF_LENGTH = float(np.arccosh(1.0 + np.sqrt(2.0)))
 
 RELATION_WORD = (1, 2, -1, -2, 3, 4, -3, -4)
+
+#: Letter order of enumeration and sampling; letter index i has inverse i ^ 1.
+LETTERS = (1, -1, 2, -2, 3, -3, 4, -4)
+_LETTER_VALUES = np.array(LETTERS)
+_LETTER_INDEX = {l: i for i, l in enumerate(LETTERS)}
+#: Row i: the 7 letter indices that may follow index i in a reduced word, in letter order.
+_SUCCESSORS = np.array([[j for j in range(8) if j != i ^ 1] for i in range(8)])
 
 _SWAP_23 = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
 _SWAP_23.setflags(write=False)
@@ -170,13 +183,41 @@ def cyclic_reduce(word) -> tuple:
     return tuple(w)
 
 
+def _letter_indices(word) -> np.ndarray:
+    try:
+        return np.array([_LETTER_INDEX[int(l)] for l in word], dtype=np.intp)
+    except KeyError as exc:
+        raise GeometryError(f"invalid letter {exc.args[0]}") from None
+
+
+def _sample_words(rng: np.random.Generator, n: int, length: int) -> np.ndarray:
+    """n seeded uniform reduced words as (n, length) letter indices.
+
+    One ``rng.integers`` call draws every offset: 8 choices for a first
+    letter, 7 for each later one, mapped through the successor table.  The
+    draws, and the generator state afterwards, are those of n successive
+    ``random_reduced_word`` calls.
+    """
+    if length == 0:
+        return np.empty((n, 0), dtype=np.intp)
+    offsets = rng.integers(np.tile(np.r_[8, np.full(length - 1, 7)], n)).reshape(n, length)
+    idx = np.empty_like(offsets)
+    idx[:, 0] = offsets[:, 0]
+    for k in range(1, length):
+        idx[:, k] = _SUCCESSORS[idx[:, k - 1], offsets[:, k]]
+    return idx
+
+
 def random_reduced_word(rng: np.random.Generator, length: int) -> tuple:
-    letters = [1, -1, 2, -2, 3, -3, 4, -4]
-    out = []
-    for _ in range(length):
-        choices = [l for l in letters if not out or l != -out[-1]]
-        out.append(int(choices[rng.integers(len(choices))]))
-    return tuple(out)
+    return tuple(_LETTER_VALUES[_sample_words(rng, 1, length)[0]].tolist())
+
+
+def _word_products(letters: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """(N,3,3) images of the (N, length) index words, multiplied left to right from the identity."""
+    out = np.tile(np.eye(3), (idx.shape[0], 1, 1))
+    for k in range(idx.shape[1]):
+        out = out @ letters[idx[:, k]]
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,13 +235,14 @@ class Representation:
         for name in GENERATOR_NAMES:
             if name not in self.images:
                 raise GeometryError(f"missing generator image {name!r}")
-        mats = {}
-        for i, name in enumerate(GENERATOR_NAMES, start=1):
+        letters = []
+        for name in GENERATOR_NAMES:
             g = self.images[name]
             m = g.mat if isinstance(g, GroupElem) else np.asarray(g, dtype=float)
-            mats[i] = m
-            mats[-i] = np.linalg.inv(m)
-        object.__setattr__(self, "_mats", mats)
+            letters += [m, np.linalg.inv(m)]
+        letters = np.stack(letters)
+        letters.setflags(write=False)
+        object.__setattr__(self, "_letters", letters)
         res = self.relation_residual()
         if res > 1e-9:
             raise GeometryError(f"relation residual {res:.3e} exceeds 1e-9")
@@ -209,13 +251,10 @@ class Representation:
         return float(np.abs(self.evaluate(RELATION_WORD) - np.eye(3)).max())
 
     def evaluate(self, word) -> np.ndarray:
-        out = np.eye(3)
-        for l in word:
-            out = out @ self._mats[int(l)]
-        return out
+        return _word_products(self._letters, _letter_indices(word)[None])[0]
 
     def letter_matrix(self, letter: int) -> np.ndarray:
-        return self._mats[int(letter)]
+        return self._letters[_letter_indices((letter,))[0]]
 
 
 def reducible_representation(fuchsian=None) -> Representation:
@@ -315,24 +354,20 @@ def gap_scan(
     """
     if max_len < 1:
         raise GeometryError("max_len must be at least 1")
+    if exhaustive_len < 0:
+        raise GeometryError("exhaustive_len must be nonnegative")
     rng = np.random.default_rng(seed)
     rows = []
     partial = False
 
-    current = [((l,), rep.letter_matrix(l)) for l in (1, -1, 2, -2, 3, -3, 4, -4)]
-    length = 1
-    while length <= min(max_len, exhaustive_len):
-        words = [w for w, _ in current]
-        mats = np.stack([m for _, m in current])
-        rows.append(_length_row(length, words, mats))
-        if length + 1 <= min(max_len, exhaustive_len):
-            nxt = []
-            for w, m in current:
-                for l in (1, -1, 2, -2, 3, -3, 4, -4):
-                    if l != -w[-1]:
-                        nxt.append((w + (l,), m @ rep.letter_matrix(l)))
-            current = nxt
-        length += 1
+    idx = np.arange(8)[:, None]
+    mats = rep._letters
+    for length in range(1, min(max_len, exhaustive_len) + 1):
+        if length > 1:
+            successors = _SUCCESSORS[idx[:, -1]]
+            mats = (mats[:, None] @ rep._letters[successors]).reshape(-1, 3, 3)
+            idx = np.concatenate([np.repeat(idx, 7, axis=0), successors.reshape(-1, 1)], axis=1)
+        rows.append(_length_row(idx, mats))
 
     extra = [L for L in range(exhaustive_len + 1, max_len + 1)]
     if extra:
@@ -341,9 +376,11 @@ def gap_scan(
             if per_length <= 0:
                 partial = True
                 break
-            words = [random_reduced_word(rng, L) for _ in range(per_length)]
-            mats = np.stack([rep.evaluate(w) for w in words])
-            rows.append(_length_row(L, words, mats))
+            idx = _sample_words(rng, per_length, L)
+            # long plain-float products can overflow; _length_row rejects them by length
+            with np.errstate(over="ignore", invalid="ignore"):
+                mats = _word_products(rep._letters, idx)
+            rows.append(_length_row(idx, mats))
 
     lengths = np.array([r["length"] for r in rows], dtype=float)
     minima = np.array([r["min_sg12"] for r in rows], dtype=float)
@@ -365,17 +402,17 @@ def gap_scan(
     )
 
 
-def _length_row(length, words, mats):
+def _length_row(idx, mats):
+    """Gap statistics of one length's (N, length) index words and their (N,3,3) images."""
+    length = idx.shape[1]
+    if not np.isfinite(mats).all():
+        raise GeometryError(f"word products of length {length} overflow float64")
     sg12, sg23 = _batch_gaps(mats)
-    cyc = [i for i, w in enumerate(words) if is_cyclically_reduced(w)]
-    if cyc:
-        lg12 = _batch_lg12(mats[cyc])
-        min_lg12 = float(lg12.min())
-    else:
-        min_lg12 = math.nan
+    cyc = idx[:, 0] != (idx[:, -1] ^ 1)
+    min_lg12 = float(_batch_lg12(mats[cyc]).min()) if cyc.any() else math.nan
     return {
         "length": int(length),
-        "count": len(words),
+        "count": len(idx),
         "min_sg12": float(sg12.min()),
         "med_sg12": float(np.median(sg12)),
         "min_sg23": float(sg23.min()),
@@ -425,6 +462,8 @@ def conic_position_check(rep: Representation, n_samples: int = 1000, seed: int =
         rep.family == "barbot-twist" and chi is not None and max(abs(v) for v in chi) == 0.0
     ):
         raise GeometryError("conic_position_check needs the reducible Fuchsian family")
+    if n_samples < 1:
+        raise GeometryError("conic_position_check needs at least one sample")
     rng = np.random.default_rng(seed)
     lines_outside = 0
     planes_meet = 0

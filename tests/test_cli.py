@@ -36,7 +36,8 @@ def test_certificate_rejects_beta_one(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "flag, value", [("--d-step", "nan"), ("--d-step", "inf"), ("--d-max", "inf"), ("--d-max", "nan")]
+    "flag, value",
+    [("--d-step", "nan"), ("--d-step", "inf"), ("--d-max", "inf"), ("--d-max", "nan"), ("--d-step", "1e-300")],
 )
 def test_certificate_rejects_non_finite_d_range(tmp_path, capsys, flag, value):
     with pytest.raises(SystemExit) as exc:
@@ -122,6 +123,16 @@ def test_gap_scan_irr_doubles_minima(tmp_path):
         assert i["min_sg12"] == pytest.approx(2 * r["min_sg12"], rel=1e-9)
 
 
+def test_gap_scan_overflowing_words_usage_error(tmp_path, capsys):
+    prefix = tmp_path / "long"
+    with pytest.raises(SystemExit) as exc:
+        run(["gap-scan", "--family", "red", "--max-len", "700", "--budget", "700",
+             "--out-prefix", str(prefix)])
+    assert exc.value.code == 2
+    assert "overflow" in capsys.readouterr().err
+    assert not (tmp_path / "long_summary.json").exists()
+
+
 def test_certify_flow_command(tmp_path):
     out = tmp_path / "flow.json"
     code = run(
@@ -168,6 +179,14 @@ def test_fiber_conic_position(tmp_path):
     payload = json.loads((tmp_path / "fib_conic.json").read_text())
     assert payload["lines_outside"] == 120
     assert payload["planes_meet_interior"] == 120
+
+
+def test_fiber_conic_position_rejects_zero_samples(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run(["fiber", "--theta-steps", "8", "--conic-position", "--samples", "0",
+             "--out-prefix", str(tmp_path / "fib")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "fib_conic.json").exists()
 
 
 def test_fiber_invalid_point(tmp_path):

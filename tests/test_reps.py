@@ -149,6 +149,21 @@ def test_gap_scan_sampling_beyond_exhaustive():
     assert scan.rows[6]["length"] == 7
     scan_partial = gap_scan(RED, 7, sample_budget=1, seed=5)
     assert scan_partial.partial
+    with pytest.raises(GeometryError):
+        gap_scan(RED, 3, exhaustive_len=-1)
+
+
+def test_gap_scan_rejects_overflowing_products():
+    # plain float products of the irreducible family overflow near length 260
+    with pytest.raises(GeometryError, match="length"):
+        gap_scan(IRR, 400, sample_budget=400)
+
+
+def test_evaluate_identity_and_invalid_letter():
+    assert np.array_equal(RED.evaluate(()), np.eye(3))
+    for bad in (0, 5, -5):
+        with pytest.raises(GeometryError):
+            RED.evaluate((1, bad))
 
 
 def test_gap_scan_inverse_identity():
@@ -245,6 +260,8 @@ def test_conic_position_check_rejects_other_families():
         conic_position_check(IRR, n_samples=10)
     with pytest.raises(GeometryError):
         conic_position_check(barbot_twist(FUCHSIAN, (0.5, 0, 0, 0)), n_samples=10)
+    with pytest.raises(GeometryError):
+        conic_position_check(RED, n_samples=0)
     # zero twist is the reducible family
     report = conic_position_check(barbot_twist(FUCHSIAN, (0.0, 0, 0, 0)), n_samples=20, seed=1)
     assert report["lines_outside"] == 20
