@@ -166,6 +166,10 @@ def _cmd_fiber(args, parser) -> int:
         point = PlanePoint.identity()
     from .plane import fiber_over_interior, conic_eval
 
+    report = None
+    if args.conic_position:
+        rep = reps.reducible_representation()
+        report = reps.conic_position_check(rep, n_samples=args.samples, seed=args.seed)
     with open(f"{args.out_prefix}_fiber.csv", "w", encoding="utf-8") as fh:
         fh.write("theta,x1,x2,x3,y1,y2,y3,conic_eval\n")
         for k in range(args.theta_steps):
@@ -176,9 +180,7 @@ def _cmd_fiber(args, parser) -> int:
                 f"{th!r},{xv[0]!r},{xv[1]!r},{xv[2]!r},"
                 f"{yv[0]!r},{yv[1]!r},{yv[2]!r},{conic_eval(f.line)!r}\n"
             )
-    if args.conic_position:
-        rep = reps.reducible_representation()
-        report = reps.conic_position_check(rep, n_samples=args.samples, seed=args.seed)
+    if report is not None:
         _write_json(f"{args.out_prefix}_conic.json", report)
         print(
             f"{report['lines_outside']}/{report['samples']} lines outside, "

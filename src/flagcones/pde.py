@@ -18,6 +18,12 @@ Gaussian curvature of h1^(-2), and ``ratio_identity_residual`` checks the
 elliptic identity satisfied by log of the ratio field away from zeros
 of t.
 
+The Newton operator is assembled by index arithmetic on a grid of node
+numbers, with no per-node loop, and each Newton step is one SuperLU solve
+under the symmetric ``MMD_AT_PLUS_A`` ordering (minimum degree on
+A^T + A), which keeps the LU fill of the symmetric five-point Jacobian
+about half that of the default column ordering.
+
 A solve owns its grid exclusively during iteration; distinct solves are
 independent.
 """
@@ -136,6 +142,14 @@ class ScalarField:
         return float(np.abs(self.values[self.dom.interior_mask()]).max())
 
 
+def _square(c) -> float:
+    """c^2 as a float; DomainError when it overflows."""
+    try:
+        return float(c) ** 2
+    except OverflowError:
+        raise DomainError(f"|t|^2 = {float(c)!r}^2 overflows float64") from None
+
+
 @dataclass(frozen=True, eq=False)
 class HiggsDatum:
     """Prescribed |t|^2 data on the grid plus its analytic descriptor."""
@@ -160,7 +174,7 @@ class HiggsDatum:
 
     @classmethod
     def constant(cls, c: float, dom: DomainSpec) -> "HiggsDatum":
-        return cls(np.full(dom.shape, float(c) ** 2), f"const:{float(c)!r}", dom)
+        return cls(np.full(dom.shape, _square(c)), f"const:{float(c)!r}", dom)
 
     @classmethod
     def monomial(cls, c: float, k: int, dom: DomainSpec) -> "HiggsDatum":
@@ -169,7 +183,9 @@ class HiggsDatum:
             raise DomainError("monomial datum requires a disk domain")
         x, y = dom.coords()
         rho2 = x**2 + y**2
-        return cls(float(c) ** 2 * rho2 ** int(k), f"monomial:{float(c)!r},{int(k)}", dom)
+        with np.errstate(over="ignore"):
+            t_abs2 = _square(c) * rho2 ** int(k)
+        return cls(t_abs2, f"monomial:{float(c)!r},{int(k)}", dom)
 
     @classmethod
     def tabulated(cls, t_abs2, dom: DomainSpec) -> "HiggsDatum":
@@ -227,35 +243,36 @@ class SolveReport:
 
 
 def _interior_operator(dom: DomainSpec):
-    """Sparse (1/4) lap on the unknowns (interior nodes in row-major order)."""
-    n = dom.n
+    """Sparse (1/4) lap on the unknowns (interior nodes in row-major order).
+
+    Interior nodes are numbered in an index grid.  Each stencil direction
+    reads its neighbour's number from that grid shifted by one node: rolled
+    on the torus, padded with -1 on the disk, where -1 marks a Dirichlet
+    node that contributes no entry.
+    """
     hx, hy = dom.spacings()
-    if dom.kind == "torus":
-        ex = np.ones(n)
-        d1 = scipy.sparse.diags([ex[:-1], ex[:-1], -2 * ex], [-1, 1, 0], format="lil")
-        d1[0, -1] = 1.0
-        d1[-1, 0] = 1.0
-        d1 = d1.tocsr()
-        eye = scipy.sparse.identity(n, format="csr")
-        lap = scipy.sparse.kron(d1 / hx**2, eye) + scipy.sparse.kron(eye, d1 / hy**2)
-        return 0.25 * lap.tocsr()
     mask = dom.interior_mask()
-    idx = -np.ones(dom.shape, dtype=int)
-    order = np.argwhere(mask)
-    for k, (i, j) in enumerate(order):
-        idx[i, j] = k
-    rows, cols, vals = [], [], []
-    for k, (i, j) in enumerate(order):
-        rows.append(k)
-        cols.append(k)
-        vals.append(-2.0 / hx**2 - 2.0 / hy**2)
-        for di, dj, w in ((1, 0, 1 / hx**2), (-1, 0, 1 / hx**2), (0, 1, 1 / hy**2), (0, -1, 1 / hy**2)):
-            ii, jj = i + di, j + dj
-            if idx[ii, jj] >= 0:
-                rows.append(k)
-                cols.append(idx[ii, jj])
-                vals.append(w)
-    lap = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(len(order), len(order)))
+    m = int(mask.sum())
+    own = np.arange(m)
+    idx = np.full(dom.shape, -1, dtype=np.intp)
+    idx[mask] = own
+    if dom.kind == "torus":
+        shifted = [np.roll(idx, s, axis) for axis in (0, 1) for s in (-1, 1)]
+    else:
+        pad = np.pad(idx, 1, constant_values=-1)
+        shifted = [pad[2:, 1:-1], pad[:-2, 1:-1], pad[1:-1, 2:], pad[1:-1, :-2]]
+    weights = (1.0 / hx**2, 1.0 / hx**2, 1.0 / hy**2, 1.0 / hy**2)
+    rows, cols = [own], [own]
+    vals = [np.full(m, -2.0 / hx**2 - 2.0 / hy**2)]
+    for grid, w in zip(shifted, weights):
+        nb = grid[mask]
+        keep = nb >= 0
+        rows.append(own[keep])
+        cols.append(nb[keep])
+        vals.append(np.full(int(keep.sum()), w))
+    lap = scipy.sparse.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(m, m)
+    )
     return 0.25 * lap
 
 
@@ -272,6 +289,10 @@ def solve(
     negative definite, hence invertible.  On a disk the Dirichlet ring is
     held fixed at the values of u0 (the reference profile by default).
     """
+    if not (np.isfinite(tol) and tol > 0):
+        raise DomainError(f"tol must be finite and positive, got {tol!r}")
+    if max_iter < 1:
+        raise DomainError(f"max_iter must be at least 1, got {max_iter!r}")
     if u0 is None:
         base = np.zeros(dom.shape)
         if dom.kind == "disk":
@@ -290,7 +311,7 @@ def solve(
             break
         weight = datum.t_abs2[mask] * np.exp(values[mask]) + 2.0 * np.exp(-2.0 * values[mask])
         jac = op - scipy.sparse.diags(weight)
-        step = scipy.sparse.linalg.spsolve(jac.tocsc(), -r)
+        step = scipy.sparse.linalg.spsolve(jac.tocsc(), -r, permc_spec="MMD_AT_PLUS_A")
         t = 1.0
         phi0 = float(np.dot(r, r))
         accepted = False

@@ -251,7 +251,12 @@ class Representation:
         return float(np.abs(self.evaluate(RELATION_WORD) - np.eye(3)).max())
 
     def evaluate(self, word) -> np.ndarray:
-        return _word_products(self._letters, _letter_indices(word)[None])[0]
+        idx = _letter_indices(word)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = _word_products(self._letters, idx[None])[0]
+        if not np.isfinite(out).all():
+            raise GeometryError(f"the product of a word of length {idx.size} overflows float64")
+        return out
 
     def letter_matrix(self, letter: int) -> np.ndarray:
         return self._letters[_letter_indices((letter,))[0]]

@@ -72,6 +72,22 @@ def test_solve_disk_reference_command(tmp_path):
     assert report["reference_error"] <= 5e-3
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--domain", "torus", "--t-const", "1e200"],
+        ["--domain", "disk", "--t-monomial", "1e200,2", "--boundary", "reference"],
+        ["--domain", "torus", "--t-const", "2", "--tol", "-1"],
+        ["--domain", "torus", "--t-const", "2", "--tol", "nan"],
+    ],
+)
+def test_solve_bad_datum_or_tol_usage_error(tmp_path, args):
+    with pytest.raises(SystemExit) as exc:
+        run(["solve", *args, "--n", "16", "--out-prefix", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_solve_disk_requires_boundary_for_nonzero_t(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run(["solve", "--domain", "disk", "--t-const", "1", "--n", "32",
@@ -186,7 +202,7 @@ def test_fiber_conic_position_rejects_zero_samples(tmp_path):
         run(["fiber", "--theta-steps", "8", "--conic-position", "--samples", "0",
              "--out-prefix", str(tmp_path / "fib")])
     assert exc.value.code == 2
-    assert not (tmp_path / "fib_conic.json").exists()
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_fiber_invalid_point(tmp_path):

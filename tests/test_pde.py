@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse
+from hypothesis import given, settings, strategies as st
 
 from flagcones.pde import (
     DomainError,
@@ -10,6 +13,7 @@ from flagcones.pde import (
     HiggsDatum,
     ScalarField,
     SolveError,
+    _interior_operator,
     beta_field,
     curvature_field,
     gauge_equivalent,
@@ -208,3 +212,69 @@ def test_solve_error_reports_residual():
     with pytest.raises(SolveError) as err:
         solve(dom, HiggsDatum.constant(2.0, dom), tol=1e-30, max_iter=2)
     assert err.value.residual_norm is not None
+
+
+def test_datum_rejects_overflowing_coefficient():
+    with pytest.raises(DomainError, match="overflows"):
+        HiggsDatum.constant(1e200, DomainSpec("torus", 16))
+    with pytest.raises(DomainError, match="overflows"):
+        HiggsDatum.monomial(1e200, 2, DomainSpec("disk", 16, radius=0.8))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="finite"):
+            HiggsDatum.monomial(1e154, 2, DomainSpec("disk", 16, radius=5.0, boundary="free"))
+
+
+@pytest.mark.parametrize("tol, max_iter", [(-1.0, 50), (0.0, 50), (math.nan, 50), (math.inf, 50), (1e-10, 0)])
+def test_solve_rejects_invalid_tol_or_max_iter(tol, max_iter):
+    dom = DomainSpec("torus", 16)
+    with pytest.raises(DomainError):
+        solve(dom, HiggsDatum.constant(2.0, dom), tol=tol, max_iter=max_iter)
+
+
+def _loop_operator(dom):
+    """Per-node assembly loop: the scalar reference for ``_interior_operator``."""
+    n = dom.n
+    hx, hy = dom.spacings()
+    order = np.argwhere(dom.interior_mask())
+    idx = -np.ones(dom.shape, dtype=int)
+    for k, (i, j) in enumerate(order):
+        idx[i, j] = k
+    rows, cols, vals = [], [], []
+    for k, (i, j) in enumerate(order):
+        rows.append(k)
+        cols.append(k)
+        vals.append(-2.0 / hx**2 - 2.0 / hy**2)
+        for di, dj, w in ((1, 0, 1 / hx**2), (-1, 0, 1 / hx**2), (0, 1, 1 / hy**2), (0, -1, 1 / hy**2)):
+            ii, jj = (i + di) % n, (j + dj) % n
+            if idx[ii, jj] >= 0:
+                rows.append(k)
+                cols.append(idx[ii, jj])
+                vals.append(w)
+    lap = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(len(order), len(order)))
+    return 0.25 * lap
+
+
+DOMAINS = st.one_of(
+    st.builds(
+        DomainSpec,
+        st.just("disk"),
+        st.integers(16, 48),
+        radius=st.floats(0.05, 0.99, exclude_min=True, exclude_max=True),
+    ),
+    st.builds(
+        DomainSpec,
+        st.just("torus"),
+        st.integers(16, 48),
+        periods=st.tuples(st.floats(0.01, 100.0), st.floats(0.01, 100.0)),
+    ),
+)
+
+
+@settings(deadline=None, max_examples=40)
+@given(dom=DOMAINS)
+def test_interior_operator_matches_per_node_loop(dom):
+    a = _interior_operator(dom)
+    assert (a != _loop_operator(dom)).nnz == 0
+    assert (a != a.T).nnz == 0
+    assert (a.diagonal() < 0).all()

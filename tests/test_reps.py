@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -164,6 +165,13 @@ def test_evaluate_identity_and_invalid_letter():
     for bad in (0, 5, -5):
         with pytest.raises(GeometryError):
             RED.evaluate((1, bad))
+
+
+def test_long_word_overflow_is_a_geometry_error():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GeometryError, match="length 600"):
+            limit_flag_sample(RED, (1,) * 600)
 
 
 def test_gap_scan_inverse_identity():
