@@ -43,9 +43,9 @@ from .flags import (
     ProjectiveCovector,
     ProjectivePoint,
     TangentDir,
-    act_on_flag,
+    _act_rows,
 )
-from .cones import Multicone, boundary_chart, _classify_position, _position
+from .cones import Multicone, _chart_rows, _check_tol, _classify_position, _positions
 
 #: Antidiagonal real structure: admissible matrices satisfy J conj(M) J = M.
 REAL_STRUCTURE = np.array(
@@ -497,34 +497,29 @@ def pushforward_check(
     b = _check_beta(beta)
     if t_step < 0 or not np.isfinite(t_step):
         raise GeometryError("pushforward_check: t_step must be nonnegative")
+    if n_samples < 1:
+        raise GeometryError("pushforward_check: n_samples must be at least 1")
+    _check_tol(tol)
     cone = Multicone.model(0.0)
     n_lam = max(2, int(math.isqrt(n_samples)))
     n_theta = max(2, int(math.ceil(n_samples / n_lam)))
-    flags = []
-    for ll in np.linspace(loglam_range[0], loglam_range[1], n_lam):
-        for th in np.linspace(0.0, 2 * math.pi, n_theta, endpoint=False):
-            flags.append(boundary_chart(cone, float(th), math.exp(float(ll))))
-            if len(flags) == n_samples:
-                break
-        if len(flags) == n_samples:
-            break
+    lams = np.exp(np.linspace(loglam_range[0], loglam_range[1], n_lam))
+    thetas = np.linspace(0.0, 2 * math.pi, n_theta, endpoint=False)
+    flags = _chart_rows(cone, np.tile(thetas, n_lam)[:n_samples], np.repeat(lams, n_theta)[:n_samples])
     flow = GroupElem(scipy.linalg.expm(t_step * flow_generator(b).mat))
-    counts = {"inside": 0, "boundary": 0, "outside": 0}
-    min_disp = math.inf
-    for f in flags:
-        image = act_on_flag(flow, f)
-        kind, value = _position(cone, image)
-        if kind == "interior":
-            min_disp = min(min_disp, value)
-        counts[_classify_position(kind, value, tol)] += 1
+    boundary, value = _positions(cone, *_act_rows(flow, *flags))
+    classes = _classify_position(boundary, value, tol)
+    counts = {k: int(np.count_nonzero(classes == k)) for k in ("inside", "boundary", "outside")}
+    interior = value[~boundary]
+    min_disp = float(interior.min()) if interior.size else 0.0
     return {
         "beta_re": float(np.real(b)),
         "beta_im": float(np.imag(b)),
         "t_step": float(t_step),
-        "samples": len(flags),
+        "samples": n_samples,
         "inside": counts["inside"],
         "boundary": counts["boundary"],
         "outside": counts["outside"],
-        "all_inside": counts["inside"] == len(flags),
-        "min_displacement": (min_disp if math.isfinite(min_disp) else 0.0),
+        "all_inside": counts["inside"] == n_samples,
+        "min_displacement": min_disp,
     }

@@ -131,6 +131,8 @@ def _cmd_gap_scan(args, parser) -> int:
 def _cmd_certify_flow(args, parser) -> int:
     if args.t_step <= 0:
         parser.error("--t-step must be positive")
+    if not args.betas or not args.times:
+        parser.error("--betas and --times need at least one value each")
     for t in args.times:
         if t <= 0:
             parser.error("--times must be positive")

@@ -13,6 +13,16 @@ is certified by sampling the boundary of the inner cone, and the
 nestedness amount is bounded from below by bisection over the
 one-parameter contractions fixing the relevant endpoint flag pair.
 
+Flag sets are arrays: N flags are (N, 3) line and covector rows, and a
+set of positions is a pair of arrays (boundary mask, value), the value
+being sigma for interior projections and the direction angle for boundary
+ones.  Chart grids, wedge circles, positions, shifts and classification
+each act on a whole set in one call; ``boundary_chart``, ``_position`` and
+``contains_flag`` are their one-flag cases.  ``Flag`` arguments are
+validated when they are built; sample rows are validated by the row
+kernels of ``flags`` that build and transport them, and membership
+tolerances must be finite and nonnegative.
+
 Pure operations; sampling is deterministic, so everything is safe for
 concurrent use.
 """
@@ -31,6 +41,9 @@ from .flags import (
     GroupElem,
     ProjectiveCovector,
     ProjectivePoint,
+    _act_rows,
+    _flag_rows,
+    _pullback_rows,
     act_on_flag,
 )
 from .plane import (
@@ -38,10 +51,12 @@ from .plane import (
     BoundaryPoint,
     PlanePoint,
     ReduciblePlaneFrame,
+    _check_plane_points,
+    _project_rows,
+    _sigma,
     _wrap_angle,
     embedded_rotation,
     plane_sqrt_frame,
-    project,
 )
 
 INSIDE = "inside"
@@ -123,33 +138,61 @@ def side_flags(cone: Multicone) -> tuple[Flag, Flag]:
     return tuple(act_on_flag(cone.total, f) for f in MODEL_SIDE_FLAGS)
 
 
+def _check_tol(tol: float) -> None:
+    """Membership tolerances must be finite and nonnegative."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise GeometryError(f"tol must be finite and nonnegative, got {tol!r}")
+
+
+def _positions(cone: Multicone, lines, planes) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical positions of flag rows: (boundary mask, value).
+
+    The value is sigma for rows projecting into the interior and the
+    boundary direction angle for the others.  Raises the projection error
+    of the first row whose Newton minimization fails.
+    """
+    rows = _project_rows(*_pullback_rows(cone.total, lines, planes))
+    rows.raise_first_failure()
+    boundary = rows.boundary
+    value = np.empty(boundary.size)
+    value[boundary] = _wrap_angle(2.0 * rows.phi[boundary] - math.pi)
+    a, b, c = rows.point[:, ~boundary]
+    _check_plane_points(a, b, c)
+    value[~boundary] = _sigma(a, b)
+    return boundary, value
+
+
 def _position(cone: Multicone, f: Flag):
     """Canonical position of a flag: ('interior', sigma) or ('boundary', angle)."""
-    p = project(f, frame=ReduciblePlaneFrame(cone.total))
-    if p.is_interior:
-        return "interior", p.point.sigma
-    return "boundary", p.boundary.direction_angle
+    boundary, value = _positions(cone, f.line.coords[None], f.plane.coords[None])
+    return ("boundary" if boundary[0] else "interior"), float(value[0])
 
 
-def _classify_position(kind: str, value: float, tol: float) -> str:
-    if kind == "interior":
-        if value > tol:
-            return INSIDE
-        if value < -tol:
-            return OUTSIDE
-        return BOUNDARY
-    dev = abs(value)
-    if dev < math.pi / 2 - tol:
-        return INSIDE
-    if dev > math.pi / 2 + tol:
-        return OUTSIDE
-    return BOUNDARY
+def _classify_position(boundary: np.ndarray, value: np.ndarray, tol: float) -> np.ndarray:
+    """INSIDE, BOUNDARY or OUTSIDE for each position."""
+    dev = np.abs(value)
+    inside = np.where(boundary, dev < math.pi / 2 - tol, value > tol)
+    outside = np.where(boundary, dev > math.pi / 2 + tol, value < -tol)
+    return np.where(inside, INSIDE, np.where(outside, OUTSIDE, BOUNDARY))
 
 
 def contains_flag(cone: Multicone, f: Flag, tol: float = DEFAULT_TOL) -> str:
     """Classify a flag against the cone: 'inside', 'boundary' or 'outside'."""
-    kind, value = _position(cone, f)
-    return _classify_position(kind, value, tol)
+    _check_tol(tol)
+    positions = _positions(cone, f.line.coords[None], f.plane.coords[None])
+    return str(_classify_position(*positions, tol)[0])
+
+
+def _chart_rows(cone: Multicone, theta, lam) -> tuple[np.ndarray, np.ndarray]:
+    """Flag rows of ``boundary_chart`` at the parameter pairs (theta[i], lam[i])."""
+    theta, lam = np.asarray(theta, dtype=float), np.asarray(lam, dtype=float)
+    if not np.all((lam > 0) & np.isfinite(lam)):
+        raise GeometryError("boundary_chart: lam must be positive")
+    c, s = np.cos(theta), np.sin(theta)
+    one = np.ones_like(c)
+    raw = _flag_rows(np.stack([lam * c, one, s / lam], axis=1), np.stack([-c / lam, one, -lam * s], axis=1))
+    carrier = GroupElem(cone.total.mat @ _ROT_OFFSET.mat)
+    return _act_rows(carrier, *raw)
 
 
 def boundary_chart(cone: Multicone, theta: float, lam: float) -> Flag:
@@ -160,38 +203,26 @@ def boundary_chart(cone: Multicone, theta: float, lam: float) -> Flag:
     for a general cone the flag is transported by the cone's frame.  The
     output always projects onto the cone's boundary geodesic.
     """
-    if not (lam > 0) or not np.isfinite(lam):
-        raise GeometryError("boundary_chart: lam must be positive")
-    c, s = math.cos(theta), math.sin(theta)
-    raw = Flag(
-        ProjectivePoint([lam * c, 1.0, s / lam]),
-        ProjectiveCovector([-c / lam, 1.0, -lam * s]),
-    )
-    carrier = GroupElem(cone.total.mat @ _ROT_OFFSET.mat)
-    return act_on_flag(carrier, raw)
+    lines, planes = _chart_rows(cone, [theta], [lam])
+    return Flag(ProjectivePoint(lines[0]), ProjectiveCovector(planes[0]))
 
 
-def _wedge_circle_flags(f: Flag, n: int) -> list[Flag]:
-    """Sample the two circles of the thickening of f (shared line / shared plane)."""
-    x = f.line.coords
-    y = f.plane.coords
-    out = []
-    # covectors orthogonal to the line
-    u1 = y
+def _wedge_circle_flags(x: np.ndarray, y: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows sampling the two circles of the thickening of the flag (x, y).
+
+    First n flags sharing the line x, then n flags sharing the plane y.
+    """
     u2 = np.cross(x, y)
     u2 = u2 / np.linalg.norm(u2)
-    for k in range(n):
-        psi = 2 * math.pi * (k + 0.31) / n
-        w = math.cos(psi) * u1 + math.sin(psi) * u2
-        out.append(Flag(ProjectivePoint(x), ProjectiveCovector(w)))
-    # lines inside the plane
-    v1 = x
-    v2 = u2
-    for k in range(n):
-        psi = 2 * math.pi * (k + 0.47) / n
-        v = math.cos(psi) * v1 + math.sin(psi) * v2
-        out.append(Flag(ProjectivePoint(v), ProjectiveCovector(y)))
-    return out
+    k = np.arange(n)
+    psi = (2 * math.pi * (k + 0.31) / n)[:, None]  # covectors orthogonal to the line
+    covectors = np.cos(psi) * y + np.sin(psi) * u2
+    psi = (2 * math.pi * (k + 0.47) / n)[:, None]  # lines inside the plane
+    lines = np.cos(psi) * x + np.sin(psi) * u2
+    return _flag_rows(
+        np.concatenate([np.broadcast_to(x, (n, 3)), lines]),
+        np.concatenate([covectors, np.broadcast_to(y, (n, 3))]),
+    )
 
 
 def boundary_sample_flags(
@@ -199,48 +230,41 @@ def boundary_sample_flags(
     n_grid: int,
     n_wedge: int = DEFAULT_WEDGE_SAMPLES,
     loglam_range: tuple[float, float] = DEFAULT_LOGLAM_RANGE,
-) -> list[Flag]:
-    """Flags covering the cone's boundary: chart grid, side wedges, side flags."""
-    flags = []
+) -> tuple[np.ndarray, np.ndarray]:
+    """Flag rows covering the cone's boundary: chart grid, then per side flag the flag and its wedges."""
     thetas = np.linspace(0.0, 2 * math.pi, n_grid, endpoint=False)
-    loglams = np.linspace(loglam_range[0], loglam_range[1], n_grid)
-    for ll in loglams:
-        lam = math.exp(ll)
-        for th in thetas:
-            flags.append(boundary_chart(cone, float(th), lam))
+    lams = np.exp(np.linspace(loglam_range[0], loglam_range[1], n_grid))
+    parts = [_chart_rows(cone, np.tile(thetas, n_grid), np.repeat(lams, n_grid))]
     for f in side_flags(cone):
-        flags.append(f)
-        flags.extend(_wedge_circle_flags(f, max(4, n_wedge // 2)))
-    return flags
+        parts.append((f.line.coords[None], f.plane.coords[None]))
+        parts.append(_wedge_circle_flags(f.line.coords, f.plane.coords, max(4, n_wedge // 2)))
+    return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
 
 
-def _shift_position(kind: str, value: float, lam: float):
-    """Position after pulling back by the canonical contraction of amount lam.
+def _shift_position(boundary: np.ndarray, value: np.ndarray, lam: float):
+    """Positions after pulling back by the canonical contraction of amount lam.
 
     The contraction is diagonal in the canonical coordinates, so interior
     positions shift by -2 lam in sigma and boundary angles move by an
     explicit circle map.
     """
-    if kind == "interior":
-        return kind, value - 2.0 * lam
     phi = 0.5 * (value + math.pi)
-    phi2 = math.atan2(math.exp(-lam) * math.sin(phi), math.exp(lam) * math.cos(phi))
-    return kind, _wrap_angle(2.0 * phi2 - math.pi)
+    phi2 = np.arctan2(math.exp(-lam) * np.sin(phi), math.exp(lam) * np.cos(phi))
+    return boundary, np.where(boundary, _wrap_angle(2.0 * phi2 - math.pi), value - 2.0 * lam)
 
 
 def _inner_positions(outer: Multicone, inner: Multicone, n_samples: int):
+    """Positions, against the outer cone, of the inner cone's boundary samples and interior witness."""
     n_grid = max(4, int(math.isqrt(max(1, n_samples))))
-    flags = boundary_sample_flags(inner, n_grid)
-    flags.append(endpoint_flags(inner)[0])  # interior witness
-    return [_position(outer, f) for f in flags]
+    lines, planes = boundary_sample_flags(inner, n_grid)
+    witness = endpoint_flags(inner)[0]
+    lines = np.concatenate([lines, witness.line.coords[None]])
+    planes = np.concatenate([planes, witness.plane.coords[None]])
+    return _positions(outer, lines, planes)
 
 
 def _all_inside(positions, lam: float, tol: float) -> bool:
-    for kind, value in positions:
-        k2, v2 = _shift_position(kind, value, lam)
-        if _classify_position(k2, v2, tol) != INSIDE:
-            return False
-    return True
+    return bool(np.all(_classify_position(*_shift_position(*positions, lam), tol) == INSIDE))
 
 
 def is_nested(
@@ -250,6 +274,7 @@ def is_nested(
     tol: float = DEFAULT_TOL,
 ) -> bool:
     """True iff every sampled boundary flag of the inner cone is strictly inside."""
+    _check_tol(tol)
     positions = _inner_positions(cone_outer, cone_inner, n_samples)
     return _all_inside(positions, 0.0, tol)
 
@@ -279,12 +304,13 @@ def nest_estimate(
     each amount is checked by shifting the sampled positions.  Bisection
     returns a lower bound for the nestedness.
     """
+    _check_tol(tol)
     positions = _inner_positions(cone_outer, cone_inner, n_samples)
     if not _all_inside(positions, 0.0, tol):
         raise GeometryError("nest_estimate: cones are not nested")
     fplus = endpoint_flags(cone_inner)[0]
     fminus = endpoint_flags(cone_outer)[1]
-    return NestEstimate(_nest_lower(positions, tol, lam_cap), fplus, fminus, len(positions))
+    return NestEstimate(_nest_lower(positions, tol, lam_cap), fplus, fminus, len(positions[0]))
 
 
 def _nest_lower(positions, tol: float, lam_cap: float) -> float:
@@ -311,6 +337,7 @@ def limit_flag(cones, n_samples: int = 1024, tol: float = DEFAULT_TOL) -> Flag:
     Returns the forward endpoint flag of the last cone after verifying
     that sampled probes of its thickening lie inside every cone.
     """
+    _check_tol(tol)
     cones = list(cones)
     if len(cones) < 2:
         raise GeometryError("limit_flag: need at least two cones")
@@ -322,9 +349,10 @@ def limit_flag(cones, n_samples: int = 1024, tol: float = DEFAULT_TOL) -> Flag:
         if e2 <= e1 + 1e-9:
             raise GeometryError("limit_flag: nest estimates do not diverge")
     f = endpoint_flags(cones[-1])[0]
-    probes = _wedge_circle_flags(f, 64) + [f]
+    lines, planes = _wedge_circle_flags(f.line.coords, f.plane.coords, 64)
+    lines = np.concatenate([lines, f.line.coords[None]])
+    planes = np.concatenate([planes, f.plane.coords[None]])
     for cone in cones:
-        for p in probes:
-            if contains_flag(cone, p, tol) != INSIDE:
-                raise GeometryError("limit_flag: thickening probe escapes a cone")
+        if np.any(_classify_position(*_positions(cone, lines, planes), tol) != INSIDE):
+            raise GeometryError("limit_flag: thickening probe escapes a cone")
     return f

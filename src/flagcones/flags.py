@@ -15,6 +15,11 @@ Conventions used throughout the package:
   itself.  Boundary flags are identified with geodesic-ray classes by the
   divergence criterion: the flag of a ray is the one whose horofunction
   tends to minus infinity along it.
+* N flags at once are an (N, 3) array of line rows and an (N, 3) array of
+  covector rows.  The row kernels ``_unit_rows``, ``_flag_rows``,
+  ``_act_rows`` and ``_pullback_rows`` hold the normalization, incidence
+  check and actions; ``ProjectivePoint``, ``Flag``, ``act_on_flag`` and
+  ``pullback_flag`` are their N=1 views.
 
 All values are immutable after construction and every operation is pure,
 so everything here is safe for unrestricted concurrent use.
@@ -40,29 +45,80 @@ class NumericalDomainError(ArithmeticError):
     """Raised when a computation leaves its numerical domain."""
 
 
-def _as_triple(coords) -> np.ndarray:
-    v = np.asarray(coords, dtype=float).reshape(-1)
-    if v.shape != (3,):
-        raise GeometryError(f"expected a real triple, got shape {v.shape}")
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of matching rows of two (N, 3) arrays, each as ``np.dot`` computes it."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _unit_rows(rows) -> np.ndarray:
+    """Unit representatives of N homogeneous triples, the rows of an (N, 3) array.
+
+    A row is scaled to unit length unless it is already within 1e-14 of
+    it (so normalization is exactly idempotent), and its first entry with
+    |c| > ALGEBRAIC_TOL is made positive.  Non-finite or zero rows raise.
+    Row norms and the sign rule act on each row alone, so a row's result
+    does not depend on the other rows.
+    """
+    v = np.asarray(rows, dtype=float)
+    if v.ndim != 2 or v.shape[1] != 3:
+        raise GeometryError(f"expected rows of real triples, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise GeometryError("non-finite homogeneous coordinates")
-    return v
+    norm = np.sqrt(_row_dots(v, v))
+    if np.any(norm < 1e-300):
+        raise GeometryError("zero homogeneous coordinates")
+    v = v / np.where(np.abs(norm - 1.0) > 1e-14, norm, 1.0)[:, None]
+    lead = np.abs(v) > ALGEBRAIC_TOL
+    first = v[np.arange(len(v)), lead.argmax(axis=1)]
+    return np.where((lead.any(axis=1) & (first < 0))[:, None], -v, v)
+
+
+def _check_incidence(lines: np.ndarray, planes: np.ndarray) -> None:
+    """Raise unless every row pair is incident: |line . plane| <= ALGEBRAIC_TOL."""
+    defect = np.abs(_row_dots(lines, planes))
+    if np.any(defect > ALGEBRAIC_TOL):
+        raise GeometryError(f"flag incidence defect {float(defect.max()):.3e}")
+
+
+def _flag_rows(lines, planes) -> tuple[np.ndarray, np.ndarray]:
+    """Validated flag rows: unit representatives of N incident (line, plane) pairs."""
+    lines, planes = _unit_rows(lines), _unit_rows(planes)
+    if lines.shape != planes.shape:
+        raise GeometryError(f"{len(lines)} lines but {len(planes)} planes")
+    _check_incidence(lines, planes)
+    return lines, planes
+
+
+def _act_rows(g: "GroupElem", lines, planes) -> tuple[np.ndarray, np.ndarray]:
+    """``act_on_flag`` on flag rows: lines by the inverse transpose, covectors by g.
+
+    One LAPACK solve and one matrix-vector product per row, so every row
+    gets exactly the arithmetic of a single flag.
+    """
+    lines, planes = np.asarray(lines, dtype=float), np.asarray(planes, dtype=float)
+    mat_t = np.broadcast_to(g.mat.T, (len(lines), 3, 3))
+    return _flag_rows(
+        np.linalg.solve(mat_t, lines[:, :, None])[:, :, 0],
+        (g.mat @ planes[:, :, None])[:, :, 0],
+    )
+
+
+def _pullback_rows(g: "GroupElem", lines, planes) -> tuple[np.ndarray, np.ndarray]:
+    """``pullback_flag`` on flag rows: the action of g^-1 without forming it."""
+    lines, planes = np.asarray(lines, dtype=float), np.asarray(planes, dtype=float)
+    mat = np.broadcast_to(g.mat, (len(planes), 3, 3))
+    return _flag_rows(
+        (g.mat.T @ lines[:, :, None])[:, :, 0],
+        np.linalg.solve(mat, planes[:, :, None])[:, :, 0],
+    )
 
 
 def _unit_representative(coords) -> np.ndarray:
     """Normalize homogeneous coordinates: unit length, first nonzero entry > 0."""
-    v = _as_triple(coords)
-    norm = float(np.linalg.norm(v))
-    if norm < 1e-300:
-        raise GeometryError("zero homogeneous coordinates")
-    if abs(norm - 1.0) > 1e-14:  # keep normalization exactly idempotent
-        v = v / norm
-    for c in v:
-        if abs(c) > ALGEBRAIC_TOL:
-            if c < 0:
-                v = -v
-            break
-    v = v.copy()
+    v = np.asarray(coords, dtype=float).reshape(-1)
+    if v.shape != (3,):
+        raise GeometryError(f"expected a real triple, got shape {v.shape}")
+    v = _unit_rows(v[None])[0]
     v.setflags(write=False)
     return v
 
@@ -104,9 +160,7 @@ class Flag:
             object.__setattr__(self, "line", ProjectivePoint(self.line))
         if not isinstance(self.plane, ProjectiveCovector):
             object.__setattr__(self, "plane", ProjectiveCovector(self.plane))
-        defect = abs(float(np.dot(self.line.coords, self.plane.coords)))
-        if defect > ALGEBRAIC_TOL:
-            raise GeometryError(f"flag incidence defect {defect:.3e}")
+        _check_incidence(self.line.coords[None], self.plane.coords[None])
 
     def same_as(self, other: "Flag", tol: float = SPECTRAL_TOL) -> bool:
         return self.line.same_as(other.line, tol) and self.plane.same_as(other.plane, tol)
@@ -261,16 +315,14 @@ def act_on_flag(g: GroupElem, f: Flag) -> Flag:
     jointly with ``act_on_point``; it fixes the same model flags as the
     dual action and agrees with it on orthogonal g.
     """
-    line = np.linalg.solve(g.mat.T, f.line.coords)
-    plane = g.mat @ f.plane.coords
-    return Flag(ProjectivePoint(line), ProjectiveCovector(plane))
+    lines, planes = _act_rows(g, f.line.coords[None], f.plane.coords[None])
+    return Flag(ProjectivePoint(lines[0]), ProjectiveCovector(planes[0]))
 
 
 def pullback_flag(g: GroupElem, f: Flag) -> Flag:
     """act_on_flag(g.inverse(), f) without forming the inverse."""
-    line = g.mat.T @ f.line.coords
-    plane = np.linalg.solve(g.mat, f.plane.coords)
-    return Flag(ProjectivePoint(line), ProjectiveCovector(plane))
+    lines, planes = _pullback_rows(g, f.line.coords[None], f.plane.coords[None])
+    return Flag(ProjectivePoint(lines[0]), ProjectiveCovector(planes[0]))
 
 
 def act_on_point(g: GroupElem, x: SpdPoint) -> SpdPoint:

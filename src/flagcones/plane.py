@@ -12,6 +12,15 @@ point whose thickening contains it.  Interior fibers are conics
 (``fiber_over_interior``, ``conic_eval``), boundary fibers are thickenings
 (``boundary_fiber_contains``).
 
+Projection is batched: ``_project_rows`` takes N flags as (N, 3) line and
+covector rows and runs one masked Newton over them, returning per-row
+arrays with a status code in place of an exception; ``project`` is its
+one-row case.  Inside the kernel the rows are held as (3, N) component
+arrays, and every operation acts on each row alone.  The kernel does not
+validate its input: rows come from ``Flag`` objects or from the row
+kernels of ``flags`` (``_pullback_rows`` for a frame), which check
+finiteness, unit normalization and incidence.
+
 Pure operations on immutable values; safe for concurrent use.
 """
 
@@ -19,18 +28,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .flags import (
+    SPECTRAL_TOL,
     Flag,
     GeometryError,
     GroupElem,
     ProjectiveCovector,
     ProjectivePoint,
     SpdPoint,
-    pullback_flag,
+    _pullback_rows,
     act_on_flag,
+    pullback_flag,
     thickening_contains,
 )
 
@@ -76,13 +88,7 @@ class PlanePoint:
     c: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.a) and np.isfinite(self.b) and np.isfinite(self.c)):
-            raise GeometryError("PlanePoint: non-finite entries")
-        if self.a <= 0:
-            raise GeometryError("PlanePoint: a must be positive")
-        scale = max(1.0, abs(self.a * self.b), self.c**2)
-        if abs(self.a * self.b - self.c**2 - 1.0) > 1e-10 * scale:
-            raise GeometryError("PlanePoint: ab - c^2 != 1")
+        _check_plane_points(self.a, self.b, self.c)
 
     @classmethod
     def identity(cls) -> "PlanePoint":
@@ -113,7 +119,7 @@ class PlanePoint:
         Vanishes exactly on the geodesic through the identity in the
         off-diagonal direction; equals the geodesic parameter on the axis.
         """
-        return 0.5 * (math.log(self.a) - math.log(self.b))
+        return float(_sigma(self.a, self.b))
 
     def block2(self) -> np.ndarray:
         return np.array([[self.a, self.c], [self.c, self.b]])
@@ -126,14 +132,35 @@ class PlanePoint:
         )
 
 
+def _check_plane_points(a, b, c) -> None:
+    """Raise unless every (a, b, c) is a plane point: finite, a > 0, ab - c^2 = 1."""
+    if not np.all(np.isfinite(a) & np.isfinite(b) & np.isfinite(c)):
+        raise GeometryError("PlanePoint: non-finite entries")
+    if np.any(a <= 0):
+        raise GeometryError("PlanePoint: a must be positive")
+    scale = np.maximum(np.maximum(1.0, np.abs(a * b)), c**2)
+    if np.any(np.abs(a * b - c**2 - 1.0) > 1e-10 * scale):
+        raise GeometryError("PlanePoint: ab - c^2 != 1")
+
+
+def _sigma(a, b):
+    """The signed coordinate (log a - log b)/2 of plane points, elementwise."""
+    return 0.5 * (np.log(a) - np.log(b))
+
+
 def plane_sqrt_frame(p: PlanePoint) -> GroupElem:
     """The symmetric transvection carrying the identity to p inside the plane."""
     return GroupElem(embed_sl2(_sqrt2(p.block2())))
 
 
 def _sqrt2(m2: np.ndarray) -> np.ndarray:
-    w, q = np.linalg.eigh(m2)
-    return (q * np.sqrt(w)) @ q.T
+    """Square root of a unit-determinant positive 2x2 block: (M + I) / sqrt(tr M + 2).
+
+    Closed form by Cayley-Hamilton.  An eigendecomposition loses the unit
+    determinant to rounding beyond distance ~6 from the identity, where
+    ``GroupElem`` then rejects the frame.
+    """
+    return (m2 + np.eye(2)) / math.sqrt(m2[0, 0] + m2[1, 1] + 2.0)
 
 
 def plane_geodesic_point(p: PlanePoint, q: PlanePoint, s: float) -> PlanePoint:
@@ -147,12 +174,10 @@ def plane_geodesic_point(p: PlanePoint, q: PlanePoint, s: float) -> PlanePoint:
     return PlanePoint(float(out[0, 0]), float(out[1, 1]), float(out[0, 1]))
 
 
-def _wrap_angle(phi: float) -> float:
-    """Wrap to (-pi, pi]."""
-    out = math.fmod(phi + math.pi, 2 * math.pi)
-    if out <= 0:
-        out += 2 * math.pi
-    return out - math.pi
+def _wrap_angle(phi):
+    """Wrap to (-pi, pi], elementwise."""
+    out = np.fmod(phi + math.pi, 2 * math.pi)
+    return np.where(out <= 0, out + 2 * math.pi, out) - math.pi
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,7 +205,7 @@ class BoundaryPoint:
     @property
     def direction_angle(self) -> float:
         """Direction angle (at the identity) of rays converging to this point."""
-        return _wrap_angle(2.0 * self.phi - math.pi)
+        return float(_wrap_angle(2.0 * self.phi - math.pi))
 
     def same_as(self, other: "BoundaryPoint", tol: float = 1e-9) -> bool:
         d = math.fmod(self.phi - other.phi, math.pi)
@@ -283,78 +308,234 @@ def boundary_fiber_contains(a: BoundaryPoint, f: Flag) -> bool:
     return thickening_contains(a.flag, f)
 
 
-def _detect_boundary(f: Flag, tol: float) -> BoundaryPoint | None:
-    """Exact boundary detection: f shares a component with some boundary flag."""
-    x = f.line.coords
-    y = f.plane.coords
-    candidates = []
-    if math.hypot(x[0], x[2]) > tol:
-        candidates.append(math.atan2(x[2], x[0]))
-    if math.hypot(y[0], y[2]) > tol:
-        candidates.append(math.atan2(-y[0], y[2]))
-    for phi in candidates:
-        a = BoundaryPoint(phi)
-        if boundary_fiber_contains(a, f):
-            return a
-    return None
+def _detect_boundary(x: np.ndarray, y: np.ndarray, tol: float):
+    """Exact boundary detection on rows: which flags share a component with a boundary flag.
 
-
-def _tangent_grad_hess(xv, yv):
-    """Gradient and Hessian of the horofunction at the identity.
-
-    Directions are the axis (diag) and off-diagonal tangent vectors of the
-    plane; the gradient components are the criticality defects.
+    ``x`` and ``y`` are (3, N) line and covector components.  The two
+    candidate boundary points come from the line and from the plane, in
+    that order; returns the hit mask and the angle phi in [0, 2 pi) of the
+    first candidate whose thickening contains the flag (nan elsewhere).
     """
-    nx = xv[0] ** 2 + xv[1] ** 2 + xv[2] ** 2
-    ny = yv[0] ** 2 + yv[1] ** 2 + yv[2] ** 2
-    x1 = (xv[0] ** 2 - xv[2] ** 2) / nx
-    x2 = 2.0 * xv[0] * xv[2] / nx
-    y1 = (yv[0] ** 2 - yv[2] ** 2) / ny
-    y2 = 2.0 * yv[0] * yv[2] / ny
-    xq = (xv[0] ** 2 + xv[2] ** 2) / nx
-    yq = (yv[0] ** 2 + yv[2] ** 2) / ny
-    grad = np.array([x1 - y1, x2 - y2])
-    hess = np.array(
-        [
-            [xq - x1 * x1 + yq - y1 * y1, -x1 * x2 - y1 * y2],
-            [-x1 * x2 - y1 * y2, xq - x2 * x2 + yq - y2 * y2],
-        ]
+    hit = np.zeros(x.shape[1], dtype=bool)
+    phi = np.full(x.shape[1], np.nan)
+    candidates = (
+        (np.hypot(x[0], x[2]) > tol, np.arctan2(x[2], x[0])),
+        (np.hypot(y[0], y[2]) > tol, np.arctan2(-y[0], y[2])),
     )
+    for valid, angle in candidates:
+        angle = angle % (2 * math.pi)
+        c, s = np.cos(angle), np.sin(angle)
+        # thickening membership: the boundary flag ([c:0:s], [-s:0:c]) shares
+        # the line or the plane (cross product norms, as ``same_as``)
+        line_gap = np.sqrt((x[1] * s) ** 2 + (x[2] * c - x[0] * s) ** 2 + (x[1] * c) ** 2)
+        plane_gap = np.sqrt((y[1] * c) ** 2 + (y[2] * s + y[0] * c) ** 2 + (y[1] * s) ** 2)
+        new = valid & ~hit & ((line_gap <= SPECTRAL_TOL) | (plane_gap <= SPECTRAL_TOL))
+        phi[new] = angle[new]
+        hit |= new
+    return hit, phi
+
+
+def _tangent_grad_hess(x: np.ndarray, y: np.ndarray):
+    """Gradients and Hessians of the horofunctions at the identity, rows as columns.
+
+    ``x`` and ``y`` are (3, M) line and covector components.  Directions
+    are the axis (diag) and off-diagonal tangent vectors of the plane; the
+    gradient components are the criticality defects.  Returns the
+    gradients (2, M) and the Hessian entries (h00, h01, h11), (3, M).
+    """
+    (a0, a1, a2), (b0, b1, b2) = x * x, y * y
+    nx = a0 + a1 + a2
+    ny = b0 + b1 + b2
+    x1 = (a0 - a2) / nx
+    x2 = 2.0 * x[0] * x[2] / nx
+    y1 = (b0 - b2) / ny
+    y2 = 2.0 * y[0] * y[2] / ny
+    xq = (a0 + a2) / nx
+    yq = (b0 + b2) / ny
+    grad = np.array([x1 - y1, x2 - y2])
+    hess = np.array([xq - x1 * x1 + yq - y1 * y1, -x1 * x2 - y1 * y2, xq - x2 * x2 + yq - y2 * y2])
     return grad, hess
 
 
-def _move_value(xv, yv, s1, s2):
-    """Horofunction change when moving the base by exp(s1 V_axis + s2 V_orth)."""
-    r = math.hypot(s1, s2)
-    if r > 700.0:
-        return math.inf
-    ch = math.cosh(r)
-    shr = math.sinh(r) / r if r > 1e-150 else 1.0
-    qx = (
-        (ch + shr * s1) * xv[0] ** 2
-        + xv[1] ** 2
-        + (ch - shr * s1) * xv[2] ** 2
-        + 2.0 * shr * s2 * xv[0] * xv[2]
-    )
-    qy = (
-        (ch - shr * s1) * yv[0] ** 2
-        + yv[1] ** 2
-        + (ch + shr * s1) * yv[2] ** 2
-        - 2.0 * shr * s2 * yv[0] * yv[2]
-    )
-    nx = xv[0] ** 2 + xv[1] ** 2 + xv[2] ** 2
-    ny = yv[0] ** 2 + yv[1] ** 2 + yv[2] ** 2
-    if qx <= 0 or qy <= 0:
-        return math.inf
-    return math.log(qx / nx) + math.log(qy / ny)
+def _move_value(x: np.ndarray, y: np.ndarray, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
+    """Horofunction changes when moving each base by exp(s1 V_axis + s2 V_orth)."""
+    r = np.hypot(s1, s2)
+    rs = np.clip(r, 1e-150, 700.0)  # the branches below replace the clipped rows
+    ch = np.cosh(rs)
+    shr = np.where(r > 1e-150, np.sinh(rs) / rs, 1.0)
+    (a0, a1, a2), (b0, b1, b2) = x * x, y * y
+    up, down, cross = ch + shr * s1, ch - shr * s1, 2.0 * shr * s2
+    qx = up * a0 + a1 + down * a2 + cross * x[0] * x[2]
+    qy = down * b0 + b1 + up * b2 - cross * y[0] * y[2]
+    nx = a0 + a1 + a2
+    ny = b0 + b1 + b2
+    finite = (r <= 700.0) & (qx > 0) & (qy > 0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        value = np.log(qx / nx) + np.log(qy / ny)
+    return np.where(finite, value, np.inf)
 
 
-def _half_step(s1, s2) -> np.ndarray:
-    """exp of half the 2x2 tangent matrix [[s1, s2], [s2, -s1]]."""
-    r = 0.5 * math.hypot(s1, s2)
-    ch = math.cosh(r)
-    shr = 0.5 * math.sinh(r) / r if r > 1e-150 else 0.5
-    return np.array([[ch + shr * s1, shr * s2], [shr * s2, ch - shr * s1]])
+def _half_step(s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
+    """exp of half the tangent matrices [[s1, s2], [s2, -s1]]: entries (h00, h01, h11), (3, M)."""
+    r = 0.5 * np.hypot(s1, s2)
+    rs = np.maximum(r, 1e-150)
+    ch = np.cosh(r)
+    shr = np.where(r > 1e-150, 0.5 * np.sinh(rs) / rs, 0.5)
+    return np.array([ch + shr * s1, shr * s2, ch - shr * s1])
+
+
+def _descent_steps(grad: np.ndarray, hess: np.ndarray):
+    """Newton steps where the Hessian is positive definite, else steepest descent.
+
+    Returns the steps (2, M), capped at length 8 (a hyperbolic trust
+    region: moves beyond a few units are never needed in one step and
+    overflow the move evaluation), and their slopes grad . step < 0.
+    """
+    g0, g1 = grad
+    h00, h01, h11 = hess
+    det = h00 * h11 - h01 * h01
+    newton = (h00 > 0) & (det > 0)
+    det = np.where(newton, det, 1.0)
+    s0 = np.where(newton, (h01 * g1 - h11 * g0) / det, -g0)
+    s1 = np.where(newton, (h01 * g0 - h00 * g1) / det, -g1)
+    slope = g0 * s0 + g1 * s1
+    uphill = slope >= 0
+    s0 = np.where(uphill, -g0, s0)
+    s1 = np.where(uphill, -g1, s1)
+    slope = np.where(uphill, -(g0 * g0 + g1 * g1), slope)
+    norm = np.hypot(s0, s1)
+    scale = 8.0 / np.maximum(norm, 8.0)
+    return np.array([s0 * scale, s1 * scale]), slope * scale
+
+
+def _armijo_lengths(x, y, step, slope, gnorm) -> np.ndarray:
+    """Step lengths by Armijo halving, each row on its own; nan where 60 halvings fail.
+
+    Rows with gradient <= 1e-6 are in the quadratic basin, where the
+    sufficient-decrease test is below float resolution: they take the
+    undamped Newton step.
+    """
+    t = np.ones(gnorm.size)
+    pending = np.flatnonzero(gnorm > 1e-6)
+    for _ in range(60):
+        if pending.size == 0:
+            return t
+        tp = t[pending]
+        value = _move_value(x[:, pending], y[:, pending], tp * step[0, pending], tp * step[1, pending])
+        pending = pending[~(value <= 1e-4 * tp * slope[pending])]
+        t[pending] *= 0.5
+    t[pending] = np.nan
+    return t
+
+
+#: Row status codes of ``_project_rows``; failures carry ``ProjectionError`` messages.
+CONVERGED, LINE_SEARCH_FAILED, NOT_CONVERGED = 0, 1, 2
+_FAILURES = {
+    LINE_SEARCH_FAILED: "line search failed (near-boundary flag?)",
+    NOT_CONVERGED: "no convergence within max iterations (near-boundary flag?)",
+}
+
+
+class ProjectedRows(NamedTuple):
+    """Projections of N flags, one entry per row.
+
+    ``boundary`` marks rows projecting to the visual boundary, at angle
+    ``phi`` in [0, 2 pi) (nan elsewhere); ``point`` holds the (a, b, c)
+    columns of the interior plane points, shape (3, N) (nan on boundary
+    and failed rows).  ``iterations`` and ``grad_norm`` are each row's
+    Newton iterations and last gradient norm; ``status`` is CONVERGED or
+    the row's failure code.
+    """
+
+    boundary: np.ndarray
+    phi: np.ndarray
+    point: np.ndarray
+    iterations: np.ndarray
+    grad_norm: np.ndarray
+    status: np.ndarray
+
+    def raise_first_failure(self) -> None:
+        """Raise ``ProjectionError`` for the first failed row, if any."""
+        failed = np.flatnonzero(self.status != CONVERGED)
+        if failed.size:
+            i = failed[0]
+            raise ProjectionError(
+                _FAILURES[int(self.status[i])],
+                iterations=int(self.iterations[i]),
+                grad_norm=float(self.grad_norm[i]),
+            )
+
+
+def _project_rows(
+    lines: np.ndarray,
+    planes: np.ndarray,
+    grad_tol: float = 1e-10,
+    max_iter: int = 100,
+    boundary_tol: float = 1e-10,
+) -> ProjectedRows:
+    """Project N validated flag rows onto the closed model plane.
+
+    Boundary fibers are detected exactly by thickening membership against
+    the two candidate boundary flags determined by the line and the plane.
+    The other rows minimize their horofunction over the plane by a damped
+    Newton method that recenters at every iterate (the step is taken in
+    the tangent plane at the current point, where the first-order
+    conditions are the criticality defects and perfectly scaled), so the
+    gradient tolerance is meaningful uniformly far out in the plane.
+    Newton runs over the active rows only: converged and failed rows
+    freeze.  Every operation acts on each row alone, so a row's result
+    does not depend on the rest of the batch.
+    """
+    x = np.array(np.asarray(lines, dtype=float).T, order="C")  # (3, N)
+    y = np.array(np.asarray(planes, dtype=float).T, order="C")
+    n = x.shape[1]
+    boundary, phi = _detect_boundary(x, y, boundary_tol)
+    status = np.where(boundary, CONVERGED, NOT_CONVERGED)
+    iterations = np.where(boundary, 0, max_iter)
+    grad_norm = np.zeros(n)
+    point = np.full((3, n), np.nan)
+
+    # per active row: its index, line, covector and accumulated transvection
+    # C = (c00, c01, c10, c11), the current point being C C^T
+    rows = np.flatnonzero(~boundary)
+    x, y = x[:, rows], y[:, rows]
+    carrier = np.repeat(np.array([[1.0], [0.0], [0.0], [1.0]]), rows.size, axis=1)
+    for it in range(max_iter):
+        if rows.size == 0:
+            break
+        grad, hess = _tangent_grad_hess(x, y)
+        gnorm = np.maximum(np.abs(grad[0]), np.abs(grad[1]))
+        grad_norm[rows] = gnorm
+        done = gnorm <= grad_tol
+        if done.any():
+            c00, c01, c10, c11 = carrier[:, done]
+            point[:, rows[done]] = (c00 * c00 + c01 * c01, c10 * c10 + c11 * c11, c00 * c10 + c01 * c11)
+            status[rows[done]] = CONVERGED
+            iterations[rows[done]] = it
+            go = ~done
+            rows, x, y, carrier, grad, hess, gnorm = (
+                rows[go], x[:, go], y[:, go], carrier[:, go], grad[:, go], hess[:, go], gnorm[go]
+            )
+        step, slope = _descent_steps(grad, hess)
+        t = _armijo_lengths(x, y, step, slope, gnorm)
+        failed = np.isnan(t)
+        if failed.any():
+            status[rows[failed]] = LINE_SEARCH_FAILED
+            iterations[rows[failed]] = it
+            go = ~failed
+            rows, x, y, carrier, step, t = rows[go], x[:, go], y[:, go], carrier[:, go], step[:, go], t[go]
+
+        h00, h01, h11 = _half_step(t * step[0], t * step[1])
+        c00, c01, c10, c11 = carrier
+        carrier = np.array([c00 * h00 + c01 * h01, c00 * h01 + c01 * h11, c10 * h00 + c11 * h01, c10 * h01 + c11 * h11])
+        # pull the flags back to the new base points (outer coordinates move,
+        # the middle one is fixed; the inverse half step swaps h00 and h11
+        # and negates h01); renormalize for conditioning
+        x = np.array([h00 * x[0] + h01 * x[2], x[1], h01 * x[0] + h11 * x[2]])
+        y = np.array([h11 * y[0] - h01 * y[2], y[1], h00 * y[2] - h01 * y[0]])
+        x /= np.sqrt(x[0] ** 2 + x[1] ** 2 + x[2] ** 2)
+        y /= np.sqrt(y[0] ** 2 + y[1] ** 2 + y[2] ** 2)
+    return ProjectedRows(boundary, phi, point, iterations, grad_norm, status)
 
 
 def project(
@@ -366,81 +547,15 @@ def project(
 ) -> Projection:
     """Project a flag onto the closed model plane through a frame.
 
-    Boundary fibers are detected exactly by thickening membership against
-    the two candidate boundary flags determined by the line and the plane.
-    Otherwise the horofunction is minimized over the plane by a damped
-    Newton method that recenters at every iterate (the step is taken in
-    the tangent plane at the current point, where the first-order
-    conditions are the criticality defects and perfectly scaled), so the
-    gradient tolerance is meaningful uniformly far out in the plane.
+    The one-row case of ``_project_rows``; raises ``ProjectionError`` when
+    the Newton minimization fails.
     """
-    f0 = f if frame is None else pullback_flag(frame.g, f)
-    hit = _detect_boundary(f0, boundary_tol)
-    if hit is not None:
-        return Projection.at_boundary(hit)
-
-    xv = np.array(f0.line.coords)
-    yv = np.array(f0.plane.coords)
-    carrier = np.eye(2)  # accumulated transvection, current point = carrier carrier^T
-    gnorm = math.inf
-    for it in range(max_iter):
-        grad, hess = _tangent_grad_hess(xv, yv)
-        gnorm = float(np.abs(grad).max())
-        if gnorm <= grad_tol:
-            break
-        det = hess[0, 0] * hess[1, 1] - hess[0, 1] * hess[1, 0]
-        if hess[0, 0] > 0 and det > 0:
-            step = -np.linalg.solve(hess, grad)
-        else:
-            step = -grad
-        slope = float(np.dot(grad, step))
-        if slope >= 0:
-            step = -grad
-            slope = -float(np.dot(grad, grad))
-        # hyperbolic trust region: moves beyond a few units are never needed
-        # in one step and overflow the move evaluation
-        norm = float(np.hypot(step[0], step[1]))
-        if norm > 8.0:
-            scale = 8.0 / norm
-            step = step * scale
-            slope *= scale
-        if gnorm <= 1e-6:
-            # quadratic basin: the sufficient-decrease test is below float
-            # resolution here, take the undamped Newton step
-            t = 1.0
-        else:
-            t = 1.0
-            accepted = False
-            for _ in range(60):
-                newval = _move_value(xv, yv, t * step[0], t * step[1])
-                if newval <= 1e-4 * t * slope:
-                    accepted = True
-                    break
-                t *= 0.5
-            if not accepted:
-                raise ProjectionError(
-                    "line search failed (near-boundary flag?)",
-                    iterations=it,
-                    grad_norm=gnorm,
-                )
-        half = _half_step(t * step[0], t * step[1])
-        carrier = carrier @ half
-        # pull the flag back to the new base point (outer coordinates move,
-        # the middle one is fixed); renormalize for conditioning
-        x13 = half @ np.array([xv[0], xv[2]])
-        hinv = np.linalg.inv(half)
-        y13 = hinv @ np.array([yv[0], yv[2]])
-        xv = np.array([x13[0], xv[1], x13[1]])
-        yv = np.array([y13[0], yv[1], y13[1]])
-        xv /= np.linalg.norm(xv)
-        yv /= np.linalg.norm(yv)
-    else:
-        raise ProjectionError(
-            "no convergence within max iterations (near-boundary flag?)",
-            iterations=max_iter,
-            grad_norm=gnorm,
-        )
-    p2 = carrier @ carrier.T
-    return Projection.interior(
-        PlanePoint(float(p2[0, 0]), float(p2[1, 1]), float(p2[0, 1]))
-    )
+    lines, planes = f.line.coords[None], f.plane.coords[None]
+    if frame is not None:
+        lines, planes = _pullback_rows(frame.g, lines, planes)
+    rows = _project_rows(lines, planes, grad_tol, max_iter, boundary_tol)
+    rows.raise_first_failure()
+    if rows.boundary[0]:
+        return Projection.at_boundary(BoundaryPoint(float(rows.phi[0])))
+    a, b, c = rows.point[:, 0]
+    return Projection.interior(PlanePoint(float(a), float(b), float(c)))

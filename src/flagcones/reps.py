@@ -510,6 +510,8 @@ def flow_nesting_certify(
     tested for strict nestedness inside the base cone, and the nestedness
     amount is estimated (about t/2 for the model translates).
     """
+    if n_boundary_samples < 1:
+        raise GeometryError("flow_nesting_certify: n_boundary_samples must be at least 1")
     base = Multicone.model(direction_angle)
     results = []
     all_nested = True

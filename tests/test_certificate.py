@@ -22,7 +22,7 @@ from flagcones.certificate import (
     real_structure_defect,
     sweep,
 )
-from flagcones.flags import FRAME_TO_COMPLEX, SpdPoint, busemann
+from flagcones.flags import FRAME_TO_COMPLEX, GeometryError, SpdPoint, busemann
 from flagcones.plane import PlanePoint, fiber_over_interior
 
 
@@ -279,6 +279,14 @@ def test_pushforward_zero_step_all_boundary():
     rep = pushforward_check(0.0, 0.0, n_samples=64)
     assert rep["boundary"] == rep["samples"]
     assert rep["inside"] == 0
+
+
+@pytest.mark.parametrize(
+    "kwargs", [{"tol": -1.0}, {"tol": math.nan}, {"tol": math.inf}, {"n_samples": 0}, {"n_samples": -5}]
+)
+def test_pushforward_rejects_invalid_tol_or_samples(kwargs):
+    with pytest.raises(GeometryError):
+        pushforward_check(0.5, 1e-3, **kwargs)
 
 
 def test_batched_oracle_matches_per_cell_commutator_fields():

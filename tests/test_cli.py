@@ -177,6 +177,25 @@ def test_certify_flow_zero_step_usage_error(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--tol", "-1"],
+        ["--tol", "nan"],
+        ["--samples", "0"],
+        ["--samples", "-5"],
+        ["--betas", ","],
+        ["--times", ","],
+    ],
+)
+def test_certify_flow_invalid_input_usage_error(tmp_path, extra):
+    out = tmp_path / "flow.json"
+    with pytest.raises(SystemExit) as exc:
+        run(["certify-flow", "--samples", "16", *extra, "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
 def test_fiber_command(tmp_path):
     prefix = tmp_path / "fib"
     code = run(["fiber", "--theta-steps", "64", "--out-prefix", str(prefix)])

@@ -31,6 +31,7 @@ from flagcones.cones import (
     side_flags,
 )
 from flagcones.flags import SpdPoint, busemann
+from flagcones.plane import PlanePoint, fiber_over_interior
 
 
 def std_flag(x, y):
@@ -256,3 +257,19 @@ def test_multicone_property_thickenings():
 def test_side_flags_on_boundary():
     for f in side_flags(MODEL):
         assert contains_flag(MODEL, f) == BOUNDARY
+
+
+@pytest.mark.parametrize("tol", [-1.0, -1e-12, math.nan, math.inf])
+def test_membership_rejects_invalid_tol(tol):
+    # a negative tolerance would count this outside flag (sigma = -0.5) inside
+    f = fiber_over_interior(PlanePoint(math.exp(-0.5), math.exp(0.5), 0.0), 0.4)
+    assert contains_flag(MODEL, f) == OUTSIDE
+    inner = MODEL.translated_along_axis(1.0)
+    with pytest.raises(GeometryError):
+        contains_flag(MODEL, f, tol)
+    with pytest.raises(GeometryError):
+        is_nested(MODEL, inner, 64, tol)
+    with pytest.raises(GeometryError):
+        nest_estimate(MODEL, inner, 64, tol)
+    with pytest.raises(GeometryError):
+        limit_flag([MODEL, inner, MODEL.translated_along_axis(2.0)], 64, tol)

@@ -290,6 +290,12 @@ def test_flow_nesting_zero_time_not_nested():
     assert report["results"][0]["estimate"] is None
 
 
+@pytest.mark.parametrize("n", [0, -5])
+def test_flow_nesting_rejects_too_few_samples(n):
+    with pytest.raises(GeometryError):
+        flow_nesting_certify(0.0, (0.5,), n)
+
+
 def test_flow_nesting_other_angle():
     report = flow_nesting_certify(1.0, (0.5,), 256)
     assert report["all_nested"]
