@@ -17,11 +17,14 @@ Every closed form is written once, in the broadcasting kernel
 its scalar views and ``sweep`` evaluates it on (d, z) blocks.  The
 commutator definition of the fields is the primitive object, kept
 independent of the kernel and compared against it on every sweep cell.
-Margins are evaluated in a cancellation-safe order, which is what makes
-the exact vanishing at beta = 0 visible at the 1e-12 level.  The pairing
-keeps a constant sign across the admissible regime (the unstated
-co-orientation); the margin uses its absolute value and the sweep asserts
-the sign constancy.
+The sweep's oracle computes only the (3,1) corner the pairing reads
+(``_field_corner``), cell by cell from the commutator definition applied
+to H' and the projector; the full field (``_field_from``) is formed only
+by ``commutator_fields``.  Margins are evaluated in a cancellation-safe
+order, which is what makes the exact vanishing at beta = 0 visible at the
+1e-12 level.  The pairing keeps a constant sign across the admissible
+regime (the unstated co-orientation); the margin uses its absolute value
+and the sweep asserts the sign constancy.
 
 Pure evaluation; sweep cells are independent.
 """
@@ -258,6 +261,33 @@ def _field_from(a: np.ndarray, p: np.ndarray) -> np.ndarray:
     return c @ ph + p @ ch - ch @ p - ph @ c
 
 
+def _field_corner(a: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """The (3,1) entry of ``_field_from(a, p)``, broadcast over a[..., i, k] and p[..., k, j].
+
+    With c = a p - p a the corner is sum_k c[2,k] conj(p[0,k]) + p[2,k]
+    conj(c[0,k]) - conj(c[k,2]) p[k,0] - conj(p[k,2]) c[k,0]; it reads
+    every entry of c except c[1,1], each written as its commutator sum.
+    """
+
+    def c(i, j):
+        return (
+            a[..., i, 0] * p[..., 0, j] + a[..., i, 1] * p[..., 1, j] + a[..., i, 2] * p[..., 2, j]
+        ) - (p[..., i, 0] * a[..., 0, j] + p[..., i, 1] * a[..., 1, j] + p[..., i, 2] * a[..., 2, j])
+
+    row0 = (c(0, 0), c(0, 1), c(0, 2))
+    row2 = (c(2, 0), c(2, 1), c(2, 2))
+    col0 = (row0[0], c(1, 0), row2[0])
+    col2 = (row0[2], c(1, 2), row2[2])
+    ph = np.conj(p)
+    return sum(
+        row2[k] * ph[..., 0, k]
+        + p[..., 2, k] * np.conj(row0[k])
+        - np.conj(col2[k]) * p[..., k, 0]
+        - ph[..., k, 2] * col0[k]
+        for k in range(3)
+    )
+
+
 def commutator_fields(beta, d: float, z) -> tuple[HermitianMat, HermitianMat]:
     """The two commutator fields at (beta, d, z): flow against H' and H0perp."""
     b = _check_beta(beta)
@@ -375,6 +405,7 @@ class CertReport:
     grid: dict
     beta0_max_abs_margin: float
     eta_floor_gap_min: float
+    analytic_floor_gap: float
     bounded_surrogate_max: float
     pairing_sign: float
     sign_constant: bool
@@ -390,6 +421,7 @@ class CertReport:
             "grid": dict(self.grid),
             "beta0_max_abs_margin": self.beta0_max_abs_margin,
             "eta_floor_gap_min": self.eta_floor_gap_min,
+            "analytic_floor_gap": self.analytic_floor_gap,
             "bounded_surrogate_max": self.bounded_surrogate_max,
             "pairing_sign": self.pairing_sign,
             "sign_constant": self.sign_constant,
@@ -399,8 +431,14 @@ class CertReport:
 
 
 def _oracle_alphas_batch(beta: complex, d: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """(3,1) corners of the commutator field of H' over d (column) and projectors p."""
-    return _field_from(_hprime_closed(beta, d)[:, None], p)[..., 2, 0]
+    """(3,1) corners of the commutator field of H' over d (rows) and projectors p (columns).
+
+    Each (d, z) cell is evaluated from the commutator definition applied to
+    H'(beta, d) and the projector, but only the corner is formed: the eight
+    entries of [H', pi] it reads and the four products at (3,1), never the
+    full 3x3 field.
+    """
+    return _field_corner(_hprime_closed(beta, d)[:, None], p)
 
 
 def sweep(grid: CertGrid) -> CertReport:
@@ -409,14 +447,18 @@ def sweep(grid: CertGrid) -> CertReport:
     Margins and eta values come from ``_closed_forms``; on every cell the
     commutator-oracle corner coefficients are compared against the closed
     forms and the worst deviation is reported.  The fiber projectors and
-    the beta-independent H0perp field are built once per sweep.
+    the beta-independent H0perp corner are built once per sweep.
+    ``analytic_floor_gap`` is the least margin - |beta| (|sinh d| -
+    1/sqrt 2)^2, the margin's distance above the floor implied by the
+    closed forms.
     """
     t0 = time.perf_counter()
     d = grid.d_values()
     z = grid.z_values()
     p = _projector_mats(z)
     _check_flag_mats(p)
-    a2o = _field_from(_H0PERP, p)[:, 2, 0]
+    a2o = _field_corner(_H0PERP, p)
+    floor_shape = (np.abs(np.sinh(d)) - 1.0 / _SQRT2)[:, None] ** 2
 
     min_margin = math.inf
     min_eta = math.inf
@@ -424,6 +466,7 @@ def sweep(grid: CertGrid) -> CertReport:
     oracle_dev = 0.0
     beta0_max = 0.0
     eta_floor_gap = math.inf
+    analytic_gap = math.inf
     surrogate_max = -math.inf
     sign_constant = True
     n_cells = 0
@@ -449,6 +492,7 @@ def sweep(grid: CertGrid) -> CertReport:
             }
         min_eta = min(min_eta, float(etas.min()))
         eta_floor_gap = min(eta_floor_gap, float((etas - 0.5 * (1.0 - babs)).min()))
+        analytic_gap = min(analytic_gap, float((margins - babs * floor_shape).min()))
         surrogate_max = max(surrogate_max, float(np.abs(p_scaled).max()))
         if babs == 0.0:
             beta0_max = max(beta0_max, float(np.abs(margins).max()))
@@ -461,6 +505,7 @@ def sweep(grid: CertGrid) -> CertReport:
         grid=grid.describe(),
         beta0_max_abs_margin=beta0_max,
         eta_floor_gap_min=eta_floor_gap,
+        analytic_floor_gap=analytic_gap,
         bounded_surrogate_max=surrogate_max,
         pairing_sign=PAIRING_SIGN,
         sign_constant=sign_constant,

@@ -50,10 +50,15 @@ def _cmd_certificate(args, parser) -> int:
         parser.error(str(exc))
     report = cert.sweep(grid)
     _write_json(args.out, report.to_json())
-    ok = report.min_margin >= -1e-9 and report.oracle_dev <= 1e-10
+    ok = (
+        report.min_margin >= -1e-9
+        and report.analytic_floor_gap >= -1e-9
+        and report.oracle_dev <= 1e-10
+    )
     print(
-        f"min_margin={report.min_margin:.3e} oracle_dev={report.oracle_dev:.3e} "
-        f"cells={report.n_cells} runtime={report.runtime_s:.1f}s -> "
+        f"min_margin={report.min_margin:.3e} analytic_floor_gap={report.analytic_floor_gap:.3e} "
+        f"oracle_dev={report.oracle_dev:.3e} cells={report.n_cells} "
+        f"runtime={report.runtime_s:.1f}s -> "
         + ("PASS" if ok else "FAIL")
     )
     return 0 if ok else 1
@@ -177,11 +182,8 @@ def _cmd_fiber(args, parser) -> int:
         for k in range(args.theta_steps):
             th = 2.0 * math.pi * k / args.theta_steps
             f = fiber_over_interior(point, th)
-            xv, yv = f.line.coords, f.plane.coords
-            fh.write(
-                f"{th!r},{xv[0]!r},{xv[1]!r},{xv[2]!r},"
-                f"{yv[0]!r},{yv[1]!r},{yv[2]!r},{conic_eval(f.line)!r}\n"
-            )
+            cells = (th, *f.line.coords, *f.plane.coords, conic_eval(f.line))
+            fh.write(",".join(repr(float(v)) for v in cells) + "\n")
     if report is not None:
         _write_json(f"{args.out_prefix}_conic.json", report)
         print(

@@ -88,6 +88,17 @@ def test_criterion_2_fuchsian_tightness(default_sweep_report):
     )
 
 
+def test_certificate_margin_respects_analytic_floor(default_sweep_report):
+    # the closed forms put every margin at or above |beta| (|sinh d| - 1/sqrt 2)^2;
+    # the swept margins must respect that floor to the -1e-9 of criterion 1
+    report, _ = default_sweep_report
+    assert report.analytic_floor_gap >= -1e-9
+    _report(
+        "1b (analytic margin floor)",
+        f"min(margin - floor)={report.analytic_floor_gap:.2e}",
+    )
+
+
 def test_criterion_3_fiber_projection_round_trip():
     rng = np.random.default_rng(7)
     worst_resid = 0.0

@@ -3,11 +3,16 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from flagcones.certificate import (
     CertGrid,
     PAIRING_SIGN,
     RegimeError,
+    _field_corner,
+    _field_from,
+    _oracle_alphas_batch,
+    _projector_mats,
     alpha_closed_forms,
     alpha_coefficient,
     certificate_margin,
@@ -290,21 +295,20 @@ def test_pushforward_rejects_invalid_tol_or_samples(kwargs):
 
 
 def test_batched_oracle_matches_per_cell_commutator_fields():
-    # the sweep's loop-free oracle agrees with the per-cell commutator
-    # fields and projectors it replaces
-    from flagcones.certificate import _oracle_alphas_batch, _projector_mats
-
+    # the sweep's loop-free corner oracle agrees with the per-cell full
+    # commutator fields and projectors, out to |beta| = 0.95 and d = +-5
     d = np.linspace(-5.0, 5.0, 11)
     z = np.exp(1j * np.linspace(0, 2 * math.pi, 8, endpoint=False))
-    beta = 0.6 * np.exp(0.7j)
     p = _projector_mats(z)
-    a1o = _oracle_alphas_batch(beta, d, p)
-    assert a1o.shape == (d.size, z.size)
     for j, zv in enumerate(z):
         assert np.abs(p[j] - projector_pi(zv).mat).max() <= 1e-15
-        for i, dv in enumerate(d):
-            a1 = alpha_coefficient(commutator_fields(beta, dv, zv)[0])
-            assert abs(a1o[i, j] - a1) <= 1e-12 * max(1.0, abs(a1))
+    for beta in (0.6 * np.exp(0.7j), 0.95 * np.exp(2.1j), -0.95):
+        a1o = _oracle_alphas_batch(beta, d, p)
+        assert a1o.shape == (d.size, z.size)
+        for j, zv in enumerate(z):
+            for i, dv in enumerate(d):
+                a1 = alpha_coefficient(commutator_fields(beta, dv, zv)[0])
+                assert abs(a1o[i, j] - a1) <= 1e-12 * max(1.0, abs(a1))
 
 
 def test_sweep_oracle_catches_a_wrong_closed_form(monkeypatch):
@@ -321,3 +325,90 @@ def test_sweep_oracle_catches_a_wrong_closed_form(monkeypatch):
     monkeypatch.setattr(certificate, "_closed_forms", shifted)
     grid = CertGrid(beta_moduli=(0.0, 0.5), beta_phases=2, z_phases=8, d_step=0.5)
     assert sweep(grid).oracle_dev > 1e-10
+
+
+COMPLEX = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    mats=st.lists(st.lists(COMPLEX, min_size=9, max_size=9), min_size=1, max_size=4),
+    phases=st.lists(st.floats(0.0, 2 * math.pi), min_size=1, max_size=8),
+)
+def test_field_corner_matches_full_field(mats, phases):
+    # the corner kernel equals the (3,1) entry of the full commutator field
+    # for any complex a, not only H', broadcast against a projector stack
+    a = np.array(mats).reshape(-1, 1, 3, 3)
+    p = _projector_mats(np.exp(1j * np.array(phases)))
+    ref = _field_from(a, p)[..., 2, 0]
+    got = _field_corner(a, p)
+    assert got.shape == ref.shape == (len(mats), len(phases))
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(a).max()
+    single = _field_corner(a[0, 0], p)
+    assert np.abs(single - _field_from(a[0, 0], p)[..., 2, 0]).max() <= 1e-12 * np.abs(a[0, 0]).max()
+
+
+# CertReport values of the two grids below, computed with the full-field
+# oracle.  The oracle feeds only oracle_dev, so every other field except
+# runtime_s and analytic_floor_gap must stay bit for bit the same
+STABLE_REPORTS = [
+    (
+        {"beta_moduli": (0.0, 0.3, 0.6, 0.9), "beta_phases": 4, "z_phases": 16, "d_step": 0.5},
+        {
+            "min_margin": 0.0,
+            "min_eta": 0.08516778621854558,
+            "argmin": {"beta_re": 0.0, "beta_im": 0.0, "d": -5.0, "z_phase": 0.0},
+            "beta0_max_abs_margin": 0.0,
+            "eta_floor_gap_min": 0.0,
+            "bounded_surrogate_max": 0.9298194329720169,
+            "pairing_sign": -1.0,
+            "sign_constant": True,
+            "n_cells": 5376,
+            "grid": {
+                "beta_moduli": [0.0, 0.3, 0.6, 0.9],
+                "beta_phases": 4,
+                "z_phases": 16,
+                "d_max": 5.0,
+                "d_step": 0.5,
+            },
+        },
+    ),
+    (
+        {"beta_moduli": (0.25, 0.7, 0.95), "beta_phases": 3, "z_phases": 12, "d_max": 3.0, "d_step": 0.4},
+        {
+            "min_margin": 0.0012409133136827516,
+            "min_eta": 0.03556597994871684,
+            "argmin": {
+                "beta_re": 0.25,
+                "beta_im": 0.0,
+                "d": -0.5999999999999996,
+                "z_phase": -1.5707963267948968,
+            },
+            "beta0_max_abs_margin": 0.0,
+            "eta_floor_gap_min": 0.010565979948716817,
+            "bounded_surrogate_max": 0.9723957108811353,
+            "pairing_sign": -1.0,
+            "sign_constant": True,
+            "n_cells": 1728,
+            "grid": {
+                "beta_moduli": [0.25, 0.7, 0.95],
+                "beta_phases": 3,
+                "z_phases": 12,
+                "d_max": 3.0,
+                "d_step": 0.4,
+            },
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "grid_kwargs, expected", STABLE_REPORTS, ids=["with-beta-0", "beta-0.25-to-0.95"]
+)
+def test_sweep_report_values_are_stable(grid_kwargs, expected):
+    payload = sweep(CertGrid(**grid_kwargs)).to_json()
+    assert payload["oracle_dev"] <= 1e-10
+    assert payload["analytic_floor_gap"] >= -1e-9
+    assert set(payload) == set(expected) | {"oracle_dev", "analytic_floor_gap", "runtime_s"}
+    for key, value in expected.items():
+        assert payload[key] == value, key

@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from flagcones import certificate
 from flagcones.cli import main
 
 
@@ -26,7 +28,20 @@ def test_certificate_command(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["min_margin"] >= -1e-9
     assert payload["oracle_dev"] <= 1e-10
+    assert payload["analytic_floor_gap"] >= -1e-9
     assert {"argmin", "grid", "min_eta"} <= set(payload)
+
+
+def test_certificate_fails_below_analytic_floor(tmp_path, capsys, monkeypatch):
+    sweep = certificate.sweep
+    monkeypatch.setattr(
+        certificate, "sweep", lambda grid: dataclasses.replace(sweep(grid), analytic_floor_gap=-1e-6)
+    )
+    out = tmp_path / "report.json"
+    code = run(["certificate", "--beta-phases", "2", "--z-steps", "8", "--d-step", "0.5", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().out.rstrip().endswith("FAIL")
+    assert json.loads(out.read_text())["analytic_floor_gap"] == -1e-6
 
 
 def test_certificate_rejects_beta_one(tmp_path, capsys):
@@ -204,6 +219,14 @@ def test_fiber_command(tmp_path):
     assert len(lines) == 65
     for line in lines[1:]:
         assert abs(float(line.split(",")[-1])) <= 1e-12
+
+
+def test_fiber_csv_loads_as_plain_numbers(tmp_path):
+    prefix = tmp_path / "fib"
+    assert run(["fiber", "--theta-steps", "16", "--point", "2,1,1", "--out-prefix", str(prefix)]) == 0
+    data = np.loadtxt(tmp_path / "fib_fiber.csv", delimiter=",", skiprows=1)
+    assert data.shape == (16, 8)
+    assert np.all(np.isfinite(data))
 
 
 def test_fiber_conic_position(tmp_path):
