@@ -1,6 +1,8 @@
 """Command-line front end: sweeps, solves, scans and certifications.
 
-Exit codes: 0 success, 1 certificate or solve failure, 2 usage error.
+Exit codes: 0 success, 1 certificate or solve failure or a numerical
+failure (``plane.ProjectionError``, ``flags.NumericalDomainError``, reported
+in one line on standard error), 2 usage error.
 Reports are JSON with sorted keys, byte-identical for identical seeds and
 flags except the certificate report's ``runtime_s`` (the sweep's wall
 time); bulk fields and scans are CSV.
@@ -18,8 +20,8 @@ import numpy as np
 from . import certificate as cert
 from . import pde
 from . import reps
-from .flags import GeometryError
-from .plane import PlanePoint
+from .flags import GeometryError, NumericalDomainError
+from .plane import PlanePoint, ProjectionError
 
 
 def _write_json(path, payload) -> None:
@@ -263,6 +265,9 @@ def main(argv=None) -> int:
     except (GeometryError, pde.DomainError) as exc:
         parser.error(str(exc))
         return 2
+    except (ProjectionError, NumericalDomainError) as exc:
+        print(f"flagcones {args.command}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -19,10 +19,15 @@ elliptic identity satisfied by log of the ratio field away from zeros
 of t.
 
 The Newton operator is assembled by index arithmetic on a grid of node
-numbers, with no per-node loop, and each Newton step is one SuperLU solve
-under the symmetric ``MMD_AT_PLUS_A`` ordering (minimum degree on
-A^T + A), which keeps the LU fill of the symmetric five-point Jacobian
-about half that of the default column ordering.
+numbers, with no per-node loop.  A solve factors its first Jacobian once
+with SuperLU under the symmetric ``MMD_AT_PLUS_A`` ordering (minimum
+degree on A^T + A, about half the LU fill of the default column
+ordering).  Later Jacobians differ from it only on the diagonal, so each
+later step solves the negative definite system exactly (relative residual
+1e-12) by conjugate gradients preconditioned with that factorization,
+usually in a few iterations.  If CG does not converge, the current
+Jacobian is factored in its place.  Every step is thus a full Newton step,
+and the iteration counts are those of a direct solve.
 
 A solve owns its grid exclusively during iteration; distinct solves are
 independent.
@@ -226,11 +231,25 @@ def residual(u: ScalarField, datum: HiggsDatum, dom: DomainSpec) -> ScalarField:
 
 @dataclass(frozen=True)
 class SolveReport:
+    """Outcome of a converged solve and how the Newton iteration got there.
+
+    ``residual_history`` holds the max-norm residual before each Newton
+    step and after the last one; ``line_search_halvings`` and
+    ``cg_iterations`` hold one entry per step.  The CG count is the number
+    of iterations CG ran for the step: 0 for the first step, which is
+    solved by a factorization, and also counted when CG fails and the
+    step falls back to a fresh factorization.
+    """
+
     residual_norm: float
     iterations: int
     beta_sup: float
     curvature_max: float
     converged: bool
+    residual_history: tuple
+    line_search_halvings: tuple
+    cg_iterations: tuple
+    factorizations: int
 
     def to_json(self) -> dict:
         return {
@@ -239,6 +258,10 @@ class SolveReport:
             "beta_sup": self.beta_sup,
             "curvature_max": self.curvature_max,
             "converged": self.converged,
+            "residual_history": list(self.residual_history),
+            "line_search_halvings": list(self.line_search_halvings),
+            "cg_iterations": list(self.cg_iterations),
+            "factorizations": self.factorizations,
         }
 
 
@@ -305,23 +328,35 @@ def solve(
     mask = dom.interior_mask()
     r = _equation_residual(values, datum, dom)[mask]
     rnorm = float(np.abs(r).max())
+    history, halvings, cg_counts = [rnorm], [], []
+    lu = None
+    factorizations = 0
     iterations = 0
     for iterations in range(1, max_iter + 1):
         if rnorm <= tol:
             break
         weight = datum.t_abs2[mask] * np.exp(values[mask]) + 2.0 * np.exp(-2.0 * values[mask])
         jac = op - scipy.sparse.diags(weight)
-        step = scipy.sparse.linalg.spsolve(jac.tocsc(), -r, permc_spec="MMD_AT_PLUS_A")
+        step, cg_count = None, 0
+        if lu is not None:
+            step, cg_count = _preconditioned_step(jac, r, lu)
+        if step is None:
+            lu = scipy.sparse.linalg.splu(jac.tocsc(), permc_spec="MMD_AT_PLUS_A")
+            factorizations += 1
+            step = lu.solve(-r)
+        cg_counts.append(cg_count)
         t = 1.0
         phi0 = float(np.dot(r, r))
         accepted = False
-        for _ in range(40):
+        for halved in range(40):
             trial = values.copy()
             trial[mask] = values[mask] + t * step
             rt = _equation_residual(trial, datum, dom)[mask]
             if float(np.dot(rt, rt)) <= (1.0 - 1e-4 * t) * phi0:
                 values, r = trial, rt
                 rnorm = float(np.abs(r).max())
+                history.append(rnorm)
+                halvings.append(halved)
                 accepted = True
                 break
             t *= 0.5
@@ -345,8 +380,35 @@ def solve(
         beta_sup=float(beta.values[mask].max()),
         curvature_max=float(curv.values[mask].max()),
         converged=True,
+        residual_history=tuple(history),
+        line_search_halvings=tuple(halvings),
+        cg_iterations=tuple(cg_counts),
+        factorizations=factorizations,
     )
     return u, report
+
+
+def _preconditioned_step(jac, r, lu):
+    """Newton step s with jac s = -r by CG on the SPD system (-jac) s = r.
+
+    ``lu`` factors an earlier Jacobian of the same solve, which differs
+    from ``jac`` only on the diagonal, so x -> -lu.solve(x) approximates
+    the inverse of -jac.  Returns the step and the CG iteration count, or
+    None in place of the step when CG stops short of relative residual
+    1e-12.
+    """
+    count = [0]
+
+    def tick(_):
+        count[0] += 1
+
+    precond = scipy.sparse.linalg.LinearOperator(
+        jac.shape, matvec=lambda x: -lu.solve(x), dtype=float
+    )
+    step, info = scipy.sparse.linalg.cg(
+        -jac, r, rtol=1e-12, atol=0.0, M=precond, callback=tick
+    )
+    return (step if info == 0 else None), count[0]
 
 
 def beta_field(u: ScalarField, datum: HiggsDatum) -> ScalarField:
@@ -458,7 +520,7 @@ def write_field_csv(path, field: ScalarField) -> None:
         fh.write("nx,ny\n")
         fh.write(f"{nx},{ny}\n")
         for row in field.values:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+            fh.write(",".join(map(repr, row.tolist())) + "\n")
 
 
 def read_field_csv(path, dom: DomainSpec) -> ScalarField:

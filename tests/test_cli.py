@@ -4,8 +4,10 @@ import json
 import numpy as np
 import pytest
 
-from flagcones import certificate
+from flagcones import certificate, cli
 from flagcones.cli import main
+from flagcones.flags import NumericalDomainError
+from flagcones.plane import ProjectionError
 
 
 def run(args):
@@ -251,3 +253,16 @@ def test_fiber_invalid_point(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run(["fiber", "--point", "1,0,0", "--out-prefix", str(tmp_path / "x")])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("error", [ProjectionError("no convergence"), NumericalDomainError("overflow")])
+def test_numerical_failure_exits_one_with_one_line(tmp_path, capsys, monkeypatch, error):
+    def failing(args, parser):
+        raise error
+
+    monkeypatch.setattr(cli, "_cmd_certify_flow", failing)
+    code = run(["certify-flow", "--out", str(tmp_path / "flow.json")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert type(error).__name__ in err and str(error) in err

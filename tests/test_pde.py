@@ -1,9 +1,11 @@
+import json
 import math
 import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse
+import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
 
 from flagcones.pde import (
@@ -205,6 +207,107 @@ def test_field_csv_round_trip(tmp_path):
     write_field_csv(path, u)
     back = read_field_csv(path, dom)
     assert np.array_equal(back.values, u.values)
+
+
+def _old_field_csv_rows(values):
+    return [",".join(repr(float(v)) for v in row) for row in values]
+
+
+def test_field_csv_rows_match_per_element_formatter(tmp_path):
+    dom = DomainSpec("torus", 16)
+    rng = np.random.default_rng(1)
+    values = rng.normal(size=dom.shape) * 10.0 ** rng.integers(-300, 300, size=dom.shape)
+    values[0, 0], values[3, 5], values[7, 2] = -0.0, 1e-300, 0.0
+    path = tmp_path / "field.csv"
+    write_field_csv(path, ScalarField(values, dom))
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[2:] == _old_field_csv_rows(values)
+    assert lines[2].startswith("-0.0,")
+
+
+# --- the direct damped Newton that solve's factor-once solver replaced, kept as the reference ---
+
+
+def _reference_solve(dom, datum, u0=None, tol=1e-10, max_iter=50):
+    """One ``spsolve`` per Newton step; returns the field values and the iteration count."""
+    values = (dom.reference_profile() if u0 is None else u0.values).copy()
+    op = _interior_operator(dom)
+    mask = dom.interior_mask()
+    res = lambda v: residual(ScalarField(v, dom), datum, dom).values[mask]
+    r = res(values)
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        if np.abs(r).max() <= tol:
+            break
+        weight = datum.t_abs2[mask] * np.exp(values[mask]) + 2.0 * np.exp(-2.0 * values[mask])
+        jac = op - scipy.sparse.diags(weight)
+        step = scipy.sparse.linalg.spsolve(jac.tocsc(), -r, permc_spec="MMD_AT_PLUS_A")
+        t = 1.0
+        phi0 = float(np.dot(r, r))
+        for _ in range(40):
+            trial = values.copy()
+            trial[mask] = values[mask] + t * step
+            rt = res(trial)
+            if float(np.dot(rt, rt)) <= (1.0 - 1e-4 * t) * phi0:
+                values, r = trial, rt
+                break
+            t *= 0.5
+        else:
+            raise AssertionError("reference line search stalled")
+    assert np.abs(r).max() <= tol
+    return values, iterations
+
+
+def _reference_cases():
+    disk = DomainSpec("disk", 64, radius=0.8)
+    torus = DomainSpec("torus", 32)
+    far = ScalarField(np.full(torus.shape, -3.0), torus)
+    return [
+        (disk, HiggsDatum.monomial(1.0, 2, disk), None),
+        (disk, HiggsDatum.zero(disk), None),
+        (torus, HiggsDatum.constant(0.5, torus), far),
+        (torus, HiggsDatum.constant(2.0, torus), far),
+    ]
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_solve_matches_direct_newton_with_one_factorization(case):
+    dom, datum, u0 = _reference_cases()[case]
+    ref, ref_iterations = _reference_solve(dom, datum, u0)
+    u, report = solve(dom, datum, u0=u0)
+    assert report.iterations == ref_iterations
+    assert np.abs(u.values - ref).max() <= 1e-12
+    assert report.factorizations == 1
+    steps = report.iterations - 1
+    assert len(report.residual_history) == steps + 1
+    assert report.residual_history[-1] == report.residual_norm
+    assert len(report.line_search_halvings) == steps
+    assert report.cg_iterations[0] == 0 and len(report.cg_iterations) == steps
+    assert all(k > 0 for k in report.cg_iterations[1:])
+
+
+def test_solve_refactors_when_cg_fails(monkeypatch):
+    def failing_cg(a, b, *args, **kwargs):
+        return np.zeros_like(b), 1
+
+    dom, datum, u0 = _reference_cases()[3]
+    ref, ref_iterations = _reference_solve(dom, datum, u0)
+    monkeypatch.setattr(scipy.sparse.linalg, "cg", failing_cg)
+    u, report = solve(dom, datum, u0=u0)
+    assert report.iterations == ref_iterations
+    assert np.abs(u.values - ref).max() <= 1e-12
+    assert report.factorizations == len(report.cg_iterations) == report.iterations - 1
+
+
+def test_solve_report_json_carries_diagnostics():
+    dom = DomainSpec("torus", 16)
+    _, report = solve(dom, HiggsDatum.constant(2.0, dom))
+    payload = report.to_json()
+    assert payload["residual_history"] == list(report.residual_history)
+    assert payload["line_search_halvings"] == list(report.line_search_halvings)
+    assert payload["cg_iterations"] == list(report.cg_iterations)
+    assert payload["factorizations"] == report.factorizations == 1
+    json.dumps(payload)
 
 
 def test_solve_error_reports_residual():
