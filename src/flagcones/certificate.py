@@ -48,7 +48,7 @@ from .flags import (
     TangentDir,
     _act_rows,
 )
-from .cones import Multicone, _chart_rows, _check_tol, _classify_position, _positions
+from .cones import DEFAULT_LOGLAM_RANGE, Multicone, _chart_rows, _check_tol, _classify_position, _positions
 
 #: Antidiagonal real structure: admissible matrices satisfy J conj(M) J = M.
 REAL_STRUCTURE = np.array(
@@ -529,7 +529,6 @@ def pushforward_check(
     t_step: float,
     n_samples: int = 512,
     tol: float = 1e-6,
-    loglam_range: tuple[float, float] = (-6.0, 6.0),
 ) -> dict:
     """Flow boundary-cylinder flags and classify them against the model cone.
 
@@ -548,7 +547,7 @@ def pushforward_check(
     cone = Multicone.model(0.0)
     n_lam = max(2, int(math.isqrt(n_samples)))
     n_theta = max(2, int(math.ceil(n_samples / n_lam)))
-    lams = np.exp(np.linspace(loglam_range[0], loglam_range[1], n_lam))
+    lams = np.exp(np.linspace(*DEFAULT_LOGLAM_RANGE, n_lam))
     thetas = np.linspace(0.0, 2 * math.pi, n_theta, endpoint=False)
     flags = _chart_rows(cone, np.tile(thetas, n_lam)[:n_samples], np.repeat(lams, n_theta)[:n_samples])
     flow = GroupElem(scipy.linalg.expm(t_step * flow_generator(b).mat))

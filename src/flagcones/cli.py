@@ -87,7 +87,7 @@ def _cmd_solve(args, parser) -> int:
         if len(args.t_monomial) != 2:
             parser.error("--t-monomial takes exactly C,K")
         c, k = args.t_monomial
-        datum = pde.HiggsDatum.monomial(c, int(k), dom)
+        datum = pde.HiggsDatum.monomial(c, k, dom)
     else:
         datum = pde.HiggsDatum.constant(args.t_const, dom)
     try:

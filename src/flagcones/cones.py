@@ -225,19 +225,14 @@ def _wedge_circle_flags(x: np.ndarray, y: np.ndarray, n: int) -> tuple[np.ndarra
     )
 
 
-def boundary_sample_flags(
-    cone: Multicone,
-    n_grid: int,
-    n_wedge: int = DEFAULT_WEDGE_SAMPLES,
-    loglam_range: tuple[float, float] = DEFAULT_LOGLAM_RANGE,
-) -> tuple[np.ndarray, np.ndarray]:
+def boundary_sample_flags(cone: Multicone, n_grid: int) -> tuple[np.ndarray, np.ndarray]:
     """Flag rows covering the cone's boundary: chart grid, then per side flag the flag and its wedges."""
     thetas = np.linspace(0.0, 2 * math.pi, n_grid, endpoint=False)
-    lams = np.exp(np.linspace(loglam_range[0], loglam_range[1], n_grid))
+    lams = np.exp(np.linspace(*DEFAULT_LOGLAM_RANGE, n_grid))
     parts = [_chart_rows(cone, np.tile(thetas, n_grid), np.repeat(lams, n_grid))]
     for f in side_flags(cone):
         parts.append((f.line.coords[None], f.plane.coords[None]))
-        parts.append(_wedge_circle_flags(f.line.coords, f.plane.coords, max(4, n_wedge // 2)))
+        parts.append(_wedge_circle_flags(f.line.coords, f.plane.coords, DEFAULT_WEDGE_SAMPLES // 2))
     return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
 
 
@@ -294,7 +289,6 @@ def nest_estimate(
     cone_inner: Multicone,
     n_samples: int = 1024,
     tol: float = DEFAULT_TOL,
-    lam_cap: float = DEFAULT_LAM_CAP,
 ) -> NestEstimate:
     """Largest contraction amount keeping the inner boundary inside the outer cone.
 
@@ -310,16 +304,16 @@ def nest_estimate(
         raise GeometryError("nest_estimate: cones are not nested")
     fplus = endpoint_flags(cone_inner)[0]
     fminus = endpoint_flags(cone_outer)[1]
-    return NestEstimate(_nest_lower(positions, tol, lam_cap), fplus, fminus, len(positions[0]))
+    return NestEstimate(_nest_lower(positions, tol), fplus, fminus, len(positions[0]))
 
 
-def _nest_lower(positions, tol: float, lam_cap: float) -> float:
-    """Bisected largest contraction amount keeping nested positions inside."""
+def _nest_lower(positions, tol: float) -> float:
+    """Bisected largest contraction amount keeping nested positions inside, at most DEFAULT_LAM_CAP."""
     hi = 1.0
-    while hi < lam_cap and _all_inside(positions, hi, tol):
+    while hi < DEFAULT_LAM_CAP and _all_inside(positions, hi, tol):
         hi *= 2.0
-    if hi >= lam_cap:
-        return lam_cap
+    if hi >= DEFAULT_LAM_CAP:
+        return DEFAULT_LAM_CAP
     lo = 0.0 if hi == 1.0 else hi / 2.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)

@@ -6,8 +6,12 @@ the diagonal harmonic metric diag(h1, 1, 1/h1), and the equation reads
     (1/4) lap u = |t|^2 e^u - e^(-2u),
 
 with lap the flat five-point Laplacian: periodic on a torus, Dirichlet on
-a disk.  The supported model data are a constant |t|^2 on the torus and a
-monomial t = c z^k on the disk.  Reference solutions: on the torus with
+a disk.  Grid adjacency is written once, in ``_neighbours``, which wraps
+around the grid edges: that is the torus's periodicity, and harmless on
+the disk, whose interior nodes never lie on the edge (only non-interior
+nodes read wrapped values, and every caller discards them).  The
+supported model data are a constant |t|^2 on the torus and a monomial
+t = c z^k on the disk.  Reference solutions: on the torus with
 |t|^2 = c^2 the constant u = -(2/3) log c; on the disk with t = 0 the
 radial profile u = log(1 - x^2 - y^2), whose induced metric h1^(-2) has
 curvature -4 under this normalization.
@@ -55,6 +59,12 @@ class SolveError(RuntimeError):
         self.iterations = iterations
 
 
+def _neighbours(grid: np.ndarray) -> tuple:
+    """The grid read at each node's (i+1, i-1, j+1, j-1) neighbour, wrapping at the edges."""
+    pad = np.pad(grid, 1, mode="wrap")
+    return pad[2:, 1:-1], pad[:-2, 1:-1], pad[1:-1, 2:], pad[1:-1, :-2]
+
+
 @dataclass(frozen=True, eq=False)
 class DomainSpec:
     """Torus(periods) or Disk(radius, boundary profile), n grid points per side."""
@@ -68,14 +78,14 @@ class DomainSpec:
     def __post_init__(self):
         if self.kind not in ("torus", "disk"):
             raise DomainError(f"unknown domain kind {self.kind!r}")
-        if self.n < 16:
-            raise DomainError("n must be at least 16")
+        if not isinstance(self.n, (int, np.integer)) or self.n < 16:
+            raise DomainError(f"n must be an integer of at least 16, got {self.n!r}")
         if self.kind == "torus":
-            if not all(p > 0 for p in self.periods):
-                raise DomainError("periods must be positive")
+            if np.shape(self.periods) != (2,) or not all(np.isfinite(p) and p > 0 for p in self.periods):
+                raise DomainError(f"a torus needs two finite positive periods, got {self.periods!r}")
         else:
-            if not (self.radius > 0):
-                raise DomainError("radius must be positive")
+            if not (np.isfinite(self.radius) and self.radius > 0):
+                raise DomainError(f"radius must be finite and positive, got {self.radius!r}")
             if self.boundary == "reference" and self.radius >= 1.0:
                 raise DomainError("reference boundary profile requires radius < 1")
 
@@ -104,15 +114,8 @@ class DomainSpec:
 
     def data_ring_mask(self) -> np.ndarray:
         """Non-interior nodes adjacent to an interior node (disk Dirichlet ring)."""
-        if self.kind == "torus":
-            return np.zeros(self.shape, dtype=bool)
         inner = self.interior_mask()
-        near = np.zeros_like(inner)
-        near[1:, :] |= inner[:-1, :]
-        near[:-1, :] |= inner[1:, :]
-        near[:, 1:] |= inner[:, :-1]
-        near[:, :-1] |= inner[:, 1:]
-        return near & ~inner
+        return np.any(_neighbours(inner), axis=0) & ~inner
 
     def reference_profile(self) -> np.ndarray:
         """The t = 0 radial solution log(1 - x^2 - y^2) on interior and ring nodes."""
@@ -183,9 +186,11 @@ class HiggsDatum:
 
     @classmethod
     def monomial(cls, c: float, k: int, dom: DomainSpec) -> "HiggsDatum":
-        """t = c z^k on a disk, so |t|^2 = c^2 rho^(2k)."""
+        """t = c z^k on a disk, so |t|^2 = c^2 rho^(2k); k a nonnegative integer."""
         if dom.kind != "disk":
             raise DomainError("monomial datum requires a disk domain")
+        if not (float(k).is_integer() and k >= 0):
+            raise DomainError(f"monomial exponent must be a nonnegative integer, got {k!r}")
         x, y = dom.coords()
         rho2 = x**2 + y**2
         with np.errstate(over="ignore"):
@@ -199,16 +204,8 @@ class HiggsDatum:
 
 def _laplacian(values: np.ndarray, dom: DomainSpec) -> np.ndarray:
     hx, hy = dom.spacings()
-    if dom.kind == "torus":
-        return (
-            (np.roll(values, 1, 0) + np.roll(values, -1, 0) - 2 * values) / hx**2
-            + (np.roll(values, 1, 1) + np.roll(values, -1, 1) - 2 * values) / hy**2
-        )
-    out = np.zeros_like(values)
-    out[1:-1, 1:-1] = (
-        (values[2:, 1:-1] + values[:-2, 1:-1] - 2 * values[1:-1, 1:-1]) / hx**2
-        + (values[1:-1, 2:] + values[1:-1, :-2] - 2 * values[1:-1, 1:-1]) / hy**2
-    )
+    ip, im, jp, jm = _neighbours(values)
+    out = (ip + im - 2 * values) / hx**2 + (jp + jm - 2 * values) / hy**2
     out[~dom.interior_mask()] = 0.0
     return out
 
@@ -268,10 +265,9 @@ class SolveReport:
 def _interior_operator(dom: DomainSpec):
     """Sparse (1/4) lap on the unknowns (interior nodes in row-major order).
 
-    Interior nodes are numbered in an index grid.  Each stencil direction
-    reads its neighbour's number from that grid shifted by one node: rolled
-    on the torus, padded with -1 on the disk, where -1 marks a Dirichlet
-    node that contributes no entry.
+    Interior nodes are numbered in an index grid, -1 marking a Dirichlet
+    node that contributes no entry.  Each stencil direction reads its
+    neighbour's number from ``_neighbours`` of that grid.
     """
     hx, hy = dom.spacings()
     mask = dom.interior_mask()
@@ -279,15 +275,10 @@ def _interior_operator(dom: DomainSpec):
     own = np.arange(m)
     idx = np.full(dom.shape, -1, dtype=np.intp)
     idx[mask] = own
-    if dom.kind == "torus":
-        shifted = [np.roll(idx, s, axis) for axis in (0, 1) for s in (-1, 1)]
-    else:
-        pad = np.pad(idx, 1, constant_values=-1)
-        shifted = [pad[2:, 1:-1], pad[:-2, 1:-1], pad[1:-1, 2:], pad[1:-1, :-2]]
     weights = (1.0 / hx**2, 1.0 / hx**2, 1.0 / hy**2, 1.0 / hy**2)
     rows, cols = [own], [own]
     vals = [np.full(m, -2.0 / hx**2 - 2.0 / hy**2)]
-    for grid, w in zip(shifted, weights):
+    for grid, w in zip(_neighbours(idx), weights):
         nb = grid[mask]
         keep = nb >= 0
         rows.append(own[keep])
@@ -439,37 +430,30 @@ def curvature_field(u: ScalarField, dom: DomainSpec) -> ScalarField:
     return ScalarField(out, dom)
 
 
-def ratio_identity_residual(
-    u: ScalarField, datum: HiggsDatum, dom: DomainSpec, rel_floor: float = 0.25
-) -> float:
+#: Fraction of max |t|^2 below which ``ratio_identity_residual`` excludes a node.
+RATIO_IDENTITY_FLOOR = 0.25
+
+
+def ratio_identity_residual(u: ScalarField, datum: HiggsDatum, dom: DomainSpec) -> float:
     """Sup defect of the elliptic identity for log of the ratio field.
 
     Away from zeros of t the log ratio satisfies
-    (e^(2u)/2) lap log(beta) = 3 (beta^2 - 1); nodes where |t|^2 is below
-    rel_floor times its maximum are excluded, as are nodes within one
-    stencil step of excluded ones.
+    (e^(2u)/2) lap log(beta) = 3 (beta^2 - 1); non-interior nodes and
+    nodes where |t|^2 is below ``RATIO_IDENTITY_FLOOR`` times its maximum
+    are excluded, as are nodes within one stencil step of excluded ones
+    (periodically on the torus, across the seam).
     """
     tmax = float(datum.t_abs2.max())
     if tmax <= 0:
         raise DomainError("ratio identity needs a nonzero datum")
-    good = datum.t_abs2 > rel_floor * tmax
+    good = datum.t_abs2 > RATIO_IDENTITY_FLOOR * tmax
     good &= dom.interior_mask()
     beta = beta_field(u, datum)
     logb = np.zeros(dom.shape)
     logb[good] = np.log(beta.values[good])
     lhs = 0.5 * np.exp(2.0 * u.values) * _laplacian(logb, dom)
     rhs = 3.0 * (beta.values**2 - 1.0)
-    core = good.copy()
-    core[1:, :] &= good[:-1, :]
-    core[:-1, :] &= good[1:, :]
-    core[:, 1:] &= good[:, :-1]
-    core[:, :-1] &= good[:, 1:]
-    if dom.kind == "disk":
-        inner = dom.interior_mask()
-        core[1:, :] &= inner[:-1, :]
-        core[:-1, :] &= inner[1:, :]
-        core[:, 1:] &= inner[:, :-1]
-        core[:, :-1] &= inner[:, 1:]
+    core = good & np.all(_neighbours(good), axis=0)
     if not np.any(core):
         raise DomainError("ratio identity: no usable nodes away from zeros of t")
     return float(np.abs(lhs[core] - rhs[core]).max())

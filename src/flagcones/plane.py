@@ -428,6 +428,10 @@ def _armijo_lengths(x, y, step, slope, gnorm) -> np.ndarray:
     return t
 
 
+#: Newton gradient tolerance and boundary-detection tolerance of ``_project_rows``.
+GRAD_TOL = 1e-10
+BOUNDARY_TOL = 1e-10
+
 #: Row status codes of ``_project_rows``; failures carry ``ProjectionError`` messages.
 CONVERGED, LINE_SEARCH_FAILED, NOT_CONVERGED = 0, 1, 2
 _FAILURES = {
@@ -466,13 +470,7 @@ class ProjectedRows(NamedTuple):
             )
 
 
-def _project_rows(
-    lines: np.ndarray,
-    planes: np.ndarray,
-    grad_tol: float = 1e-10,
-    max_iter: int = 100,
-    boundary_tol: float = 1e-10,
-) -> ProjectedRows:
+def _project_rows(lines: np.ndarray, planes: np.ndarray, max_iter: int = 100) -> ProjectedRows:
     """Project N validated flag rows onto the closed model plane.
 
     Boundary fibers are detected exactly by thickening membership against
@@ -489,7 +487,7 @@ def _project_rows(
     x = np.array(np.asarray(lines, dtype=float).T, order="C")  # (3, N)
     y = np.array(np.asarray(planes, dtype=float).T, order="C")
     n = x.shape[1]
-    boundary, phi = _detect_boundary(x, y, boundary_tol)
+    boundary, phi = _detect_boundary(x, y, BOUNDARY_TOL)
     status = np.where(boundary, CONVERGED, NOT_CONVERGED)
     iterations = np.where(boundary, 0, max_iter)
     grad_norm = np.zeros(n)
@@ -506,7 +504,7 @@ def _project_rows(
         grad, hess = _tangent_grad_hess(x, y)
         gnorm = np.maximum(np.abs(grad[0]), np.abs(grad[1]))
         grad_norm[rows] = gnorm
-        done = gnorm <= grad_tol
+        done = gnorm <= GRAD_TOL
         if done.any():
             c00, c01, c10, c11 = carrier[:, done]
             point[:, rows[done]] = (c00 * c00 + c01 * c01, c10 * c10 + c11 * c11, c00 * c10 + c01 * c11)
@@ -538,13 +536,7 @@ def _project_rows(
     return ProjectedRows(boundary, phi, point, iterations, grad_norm, status)
 
 
-def project(
-    f: Flag,
-    frame: ReduciblePlaneFrame | None = None,
-    grad_tol: float = 1e-10,
-    max_iter: int = 100,
-    boundary_tol: float = 1e-10,
-) -> Projection:
+def project(f: Flag, frame: ReduciblePlaneFrame | None = None, max_iter: int = 100) -> Projection:
     """Project a flag onto the closed model plane through a frame.
 
     The one-row case of ``_project_rows``; raises ``ProjectionError`` when
@@ -553,7 +545,7 @@ def project(
     lines, planes = f.line.coords[None], f.plane.coords[None]
     if frame is not None:
         lines, planes = _pullback_rows(frame.g, lines, planes)
-    rows = _project_rows(lines, planes, grad_tol, max_iter, boundary_tol)
+    rows = _project_rows(lines, planes, max_iter)
     rows.raise_first_failure()
     if rows.boundary[0]:
         return Projection.at_boundary(BoundaryPoint(float(rows.phi[0])))

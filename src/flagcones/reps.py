@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flags import Flag, GeometryError, GroupElem, ProjectiveCovector, ProjectivePoint
-from .cones import DEFAULT_LAM_CAP, DEFAULT_TOL, Multicone, _all_inside, _inner_positions, _nest_lower
+from .cones import DEFAULT_TOL, Multicone, _all_inside, _inner_positions, _nest_lower
 from .plane import conic_eval, dual_conic_eval
 
 GENERATOR_NAMES = ("a1", "b1", "a2", "b2")
@@ -425,7 +425,11 @@ def _length_row(idx, mats):
     }
 
 
-def attracting_flag(mat, rel_gap_tol: float = 1e-9) -> Flag:
+#: Relative gap ``attracting_flag`` requires between successive eigenvalue moduli.
+ATTRACTING_GAP_TOL = 1e-9
+
+
+def attracting_flag(mat) -> Flag:
     """Attracting eigenflag of a matrix with strictly dominant eigenvalues.
 
     The line is the dominant eigenvector; the plane is the invariant
@@ -437,7 +441,7 @@ def attracting_flag(mat, rel_gap_tol: float = 1e-9) -> Flag:
     order = np.argsort(-np.abs(vals))
     vals, vecs = vals[order], vecs[:, order]
     m1, m2, m3 = np.abs(vals)
-    if not (m1 > (1.0 + rel_gap_tol) * m2 and m2 > (1.0 + rel_gap_tol) * m3):
+    if not (m1 > (1.0 + ATTRACTING_GAP_TOL) * m2 and m2 > (1.0 + ATTRACTING_GAP_TOL) * m3):
         raise NonHyperbolicError("eigenvalue moduli are not strictly separated")
     left = np.linalg.inv(vecs)[2, :]
     line = vecs[:, 0]
@@ -525,7 +529,7 @@ def flow_nesting_certify(
         nested = _all_inside(positions, 0.0, DEFAULT_TOL)
         entry = {"t": t, "nested": bool(nested), "estimate": None}
         if nested:
-            entry["estimate"] = _nest_lower(positions, DEFAULT_TOL, DEFAULT_LAM_CAP)
+            entry["estimate"] = _nest_lower(positions, DEFAULT_TOL)
         all_nested = all_nested and nested
         results.append(entry)
     return {

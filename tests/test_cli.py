@@ -96,6 +96,11 @@ def test_solve_disk_reference_command(tmp_path):
         ["--domain", "disk", "--t-monomial", "1e200,2", "--boundary", "reference"],
         ["--domain", "torus", "--t-const", "2", "--tol", "-1"],
         ["--domain", "torus", "--t-const", "2", "--tol", "nan"],
+        ["--domain", "torus", "--t-const", "2", "--periods", "1"],
+        ["--domain", "torus", "--t-const", "2", "--periods", "1,1,1"],
+        ["--domain", "torus", "--t-const", "2", "--periods", "inf,1"],
+        ["--domain", "disk", "--t-monomial", "1,2.5", "--boundary", "reference"],
+        ["--domain", "disk", "--t-monomial", "1,-2", "--boundary", "reference"],
     ],
 )
 def test_solve_bad_datum_or_tol_usage_error(tmp_path, args):

@@ -16,6 +16,7 @@ from flagcones.pde import (
     ScalarField,
     SolveError,
     _interior_operator,
+    _laplacian,
     beta_field,
     curvature_field,
     gauge_equivalent,
@@ -36,6 +37,19 @@ def test_domain_validation():
         DomainSpec("disk", 32, radius=1.2)  # reference profile needs radius < 1
     with pytest.raises(DomainError):
         DomainSpec("klein", 32)
+    malformed = [
+        dict(kind="torus", n=16, periods=(1.0,)),
+        dict(kind="torus", n=16, periods=(1.0, 1.0, 1.0)),
+        dict(kind="torus", n=16, periods=(math.inf, 1.0)),
+        dict(kind="torus", n=16, periods=(1.0, math.nan)),
+        dict(kind="torus", n=16.0),
+        dict(kind="torus", n=24.5),
+        dict(kind="disk", n=16, radius=math.inf, boundary="free"),
+        dict(kind="disk", n=16, radius=math.nan, boundary="free"),
+    ]
+    for kwargs in malformed:
+        with pytest.raises(DomainError):
+            DomainSpec(**kwargs)
 
 
 def test_residual_constant_solution_on_torus():
@@ -328,6 +342,17 @@ def test_datum_rejects_overflowing_coefficient():
             HiggsDatum.monomial(1e154, 2, DomainSpec("disk", 16, radius=5.0, boundary="free"))
 
 
+@pytest.mark.parametrize("n", [16, 17])
+@pytest.mark.parametrize("k", [2.5, -2, -1.0, math.nan, math.inf])
+def test_monomial_rejects_non_integer_or_negative_exponent(n, k):
+    # odd n puts a node at the origin, where a pole would divide by zero
+    dom = DomainSpec("disk", n, radius=0.8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="exponent"):
+            HiggsDatum.monomial(1.0, k, dom)
+
+
 @pytest.mark.parametrize("tol, max_iter", [(-1.0, 50), (0.0, 50), (math.nan, 50), (math.inf, 50), (1e-10, 0)])
 def test_solve_rejects_invalid_tol_or_max_iter(tol, max_iter):
     dom = DomainSpec("torus", 16)
@@ -381,3 +406,54 @@ def test_interior_operator_matches_per_node_loop(dom):
     assert (a != _loop_operator(dom)).nnz == 0
     assert (a != a.T).nnz == 0
     assert (a.diagonal() < 0).all()
+
+
+def _two_branch_laplacian(values, dom):
+    """Rolled torus stencil and edge-sliced disk stencil: the reference for ``_laplacian``."""
+    hx, hy = dom.spacings()
+    if dom.kind == "torus":
+        return (
+            (np.roll(values, 1, 0) + np.roll(values, -1, 0) - 2 * values) / hx**2
+            + (np.roll(values, 1, 1) + np.roll(values, -1, 1) - 2 * values) / hy**2
+        )
+    out = np.zeros_like(values)
+    out[1:-1, 1:-1] = (
+        (values[2:, 1:-1] + values[:-2, 1:-1] - 2 * values[1:-1, 1:-1]) / hx**2
+        + (values[1:-1, 2:] + values[1:-1, :-2] - 2 * values[1:-1, 1:-1]) / hy**2
+    )
+    out[~dom.interior_mask()] = 0.0
+    return out
+
+
+def _loop_ring(dom):
+    """Per-node loop: non-interior nodes with an interior node among their four neighbours."""
+    n = dom.n
+    inner = dom.interior_mask()
+    ring = np.zeros(dom.shape, dtype=bool)
+    for i in range(n):
+        for j in range(n):
+            if not inner[i, j]:
+                ring[i, j] = any(
+                    0 <= i + di < n and 0 <= j + dj < n and inner[i + di, j + dj]
+                    for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1))
+                )
+    return ring
+
+
+@settings(deadline=None, max_examples=40)
+@given(dom=DOMAINS, seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-6, 1e6))
+def test_laplacian_and_ring_match_reference_stencils(dom, seed, scale):
+    values = scale * np.random.default_rng(seed).standard_normal(dom.shape)
+    assert _laplacian(values, dom).tobytes() == _two_branch_laplacian(values, dom).tobytes()
+    assert np.array_equal(dom.data_ring_mask(), _loop_ring(dom))
+
+
+def test_ratio_identity_erosion_is_periodic_on_the_torus():
+    # |t|^2 = 1 except a low last row: the seam rows next to it must leave the core
+    dom = DomainSpec("torus", 48)
+    t_abs2 = np.ones(dom.shape)
+    t_abs2[-1, :] = 0.01
+    for shift in (0, 24):
+        datum = HiggsDatum.tabulated(np.roll(t_abs2, shift, axis=0), dom)
+        u, _ = solve(dom, datum)
+        assert ratio_identity_residual(u, datum, dom) <= 1e-10
