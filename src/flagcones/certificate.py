@@ -40,6 +40,7 @@ import scipy.linalg
 
 from .flags import (
     FRAME_TO_COMPLEX,
+    _FRAME_TO_REAL,
     Flag,
     GeometryError,
     GroupElem,
@@ -231,7 +232,7 @@ def projector_flag(pi: NilpotentFlagMat) -> Flag:
     v = m[:, int(np.argmax(cols))]
     rows = np.linalg.norm(m, axis=1)
     w = m[int(np.argmax(rows)), :]
-    x = np.linalg.inv(FRAME_TO_COMPLEX) @ v
+    x = _FRAME_TO_REAL @ v
     y = FRAME_TO_COMPLEX.T @ w
     x = x / x[int(np.argmax(np.abs(x)))]
     y = y / y[int(np.argmax(np.abs(y)))]
@@ -517,8 +518,7 @@ def sweep(grid: CertGrid) -> CertReport:
 def flow_generator(beta) -> TangentDir:
     """Real-coordinate flow direction: the frame conjugate of H(beta)."""
     h = flow_matrix(beta)
-    cinv = np.linalg.inv(FRAME_TO_COMPLEX)
-    a = cinv @ h @ FRAME_TO_COMPLEX
+    a = _FRAME_TO_REAL @ h @ FRAME_TO_COMPLEX
     if float(np.abs(a.imag).max()) > 1e-12:
         raise GeometryError("flow_generator: conjugate is not real")
     return TangentDir(0.5 * (a.real + a.real.T))

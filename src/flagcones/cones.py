@@ -1,11 +1,10 @@
 """Multicones: half-plane preimages under the plane projection.
 
-A multicone is determined by a reducible-plane frame, a base point of the
-model plane and an axis angle.  Internally everything is reduced to the
-canonical cone: base at the identity, axis along diag(1,0,-1).  Its
-boundary is the preimage of the orthogonal geodesic through the identity
-together with the thickenings of that geodesic's two endpoint flags; the
-preimage cylinder is covered by ``boundary_chart``.
+A multicone is the image of the canonical cone (base at the identity,
+axis along diag(1,0,-1)) under one group element, its canonical frame.
+The canonical cone's boundary is the preimage of the orthogonal geodesic
+through the identity together with the thickenings of that geodesic's
+two endpoint flags; the preimage cylinder is covered by ``boundary_chart``.
 
 Membership classification works in a signed plane coordinate (interior
 projections) and in the visual angle (boundary projections).  Nestedness
@@ -33,7 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .flags import (
     Flag,
@@ -47,16 +45,12 @@ from .flags import (
     act_on_flag,
 )
 from .plane import (
-    AXIS_DIRECTION,
     BoundaryPoint,
-    PlanePoint,
-    ReduciblePlaneFrame,
     _check_plane_points,
     _project_rows,
     _sigma,
     _wrap_angle,
     embedded_rotation,
-    plane_sqrt_frame,
 )
 
 INSIDE = "inside"
@@ -80,46 +74,38 @@ DEFAULT_WEDGE_SAMPLES = 256
 
 @dataclass(frozen=True, eq=False)
 class Multicone:
-    """The preimage of the open half-plane at (frame, base, axis_angle).
+    """The preimage of an open half-plane of a reducible plane.
 
-    The half-plane lies in the frame's reducible plane, is bounded by the
-    geodesic through the base orthogonal to the axis direction, and
-    contains the axis direction.
+    ``total`` carries the canonical cone onto this one: it maps the model
+    plane onto the cone's plane, the identity onto the base point of the
+    bounding geodesic and diag(1,0,-1) onto the axis direction, which
+    points into the half-plane.
     """
 
-    frame: ReduciblePlaneFrame
-    base: PlanePoint
-    axis_angle: float
-    total: GroupElem = None  # canonical frame, derived
+    total: GroupElem
 
     def __post_init__(self):
-        if not np.isfinite(self.axis_angle):
-            raise GeometryError("Multicone: non-finite axis angle")
-        g = self.frame.g.mat @ plane_sqrt_frame(self.base).mat
-        g = g @ embedded_rotation(self.axis_angle / 2.0).mat
-        object.__setattr__(self, "total", GroupElem(g))
+        if not isinstance(self.total, GroupElem):
+            raise GeometryError("Multicone: total must be a GroupElem")
 
     @classmethod
     def model(cls, axis_angle: float = 0.0) -> "Multicone":
-        return cls(ReduciblePlaneFrame.identity(), PlanePoint.identity(), axis_angle)
+        """The cone at the identity whose axis has direction angle ``axis_angle``."""
+        if not math.isfinite(axis_angle):
+            raise GeometryError("Multicone: non-finite axis angle")
+        return cls(embedded_rotation(axis_angle / 2.0))
 
     def transformed(self, g: GroupElem) -> "Multicone":
         """The image cone under g (membership via the flag action of g)."""
-        return Multicone(
-            ReduciblePlaneFrame(g.compose(self.total)), PlanePoint.identity(), 0.0
-        )
+        return Multicone(g.compose(self.total))
 
     def translated_along_axis(self, t: float) -> "Multicone":
         """Translate by parameter t along the axis geodesic (base moves to exp(t A))."""
-        shift = scipy.linalg.expm(0.5 * t * AXIS_DIRECTION)
-        return Multicone(
-            ReduciblePlaneFrame(GroupElem(self.total.mat @ shift)),
-            PlanePoint.identity(),
-            0.0,
-        )
+        shift = np.diag(np.exp([0.5 * t, 0.0, -0.5 * t]))
+        return Multicone(GroupElem(self.total.mat @ shift))
 
     def reversed_axis(self) -> "Multicone":
-        return Multicone(self.frame, self.base, self.axis_angle + math.pi)
+        return Multicone(self.total.compose(embedded_rotation(math.pi / 2)))
 
 
 def endpoint_flags(cone: Multicone) -> tuple[Flag, Flag]:

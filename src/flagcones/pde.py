@@ -440,14 +440,14 @@ def ratio_identity_residual(u: ScalarField, datum: HiggsDatum, dom: DomainSpec) 
     Away from zeros of t the log ratio satisfies
     (e^(2u)/2) lap log(beta) = 3 (beta^2 - 1); non-interior nodes and
     nodes where |t|^2 is below ``RATIO_IDENTITY_FLOOR`` times its maximum
-    are excluded, as are nodes within one stencil step of excluded ones
-    (periodically on the torus, across the seam).
+    over the interior are excluded, as are nodes within one stencil step
+    of excluded ones (periodically on the torus, across the seam).
     """
-    tmax = float(datum.t_abs2.max())
+    interior = dom.interior_mask()
+    tmax = float(datum.t_abs2[interior].max())
     if tmax <= 0:
         raise DomainError("ratio identity needs a nonzero datum")
-    good = datum.t_abs2 > RATIO_IDENTITY_FLOOR * tmax
-    good &= dom.interior_mask()
+    good = interior & (datum.t_abs2 > RATIO_IDENTITY_FLOOR * tmax)
     beta = beta_field(u, datum)
     logb = np.zeros(dom.shape)
     logb[good] = np.log(beta.values[good])

@@ -212,41 +212,6 @@ class BoundaryPoint:
         return min(abs(d), abs(abs(d) - math.pi)) <= tol
 
 
-@dataclass(frozen=True, eq=False)
-class ReduciblePlaneFrame:
-    """A group element mapping the model plane onto a general reducible plane."""
-
-    g: GroupElem
-
-    @classmethod
-    def identity(cls) -> "ReduciblePlaneFrame":
-        return cls(GroupElem.identity())
-
-    def compose(self, other: GroupElem) -> "ReduciblePlaneFrame":
-        return ReduciblePlaneFrame(self.g.compose(other))
-
-
-@dataclass(frozen=True, eq=False)
-class Projection:
-    """Result of projecting a flag: an interior plane point or a boundary point."""
-
-    kind: str
-    point: PlanePoint | None = None
-    boundary: BoundaryPoint | None = None
-
-    @classmethod
-    def interior(cls, point: PlanePoint) -> "Projection":
-        return cls("interior", point=point)
-
-    @classmethod
-    def at_boundary(cls, boundary: BoundaryPoint) -> "Projection":
-        return cls("boundary", boundary=boundary)
-
-    @property
-    def is_interior(self) -> bool:
-        return self.kind == "interior"
-
-
 def fiber_over_interior(x: PlanePoint, theta: float) -> Flag:
     """The fiber flag over x at conic angle theta.
 
@@ -265,22 +230,16 @@ def conic_eval(x) -> float:
     """Evaluate x1^2 - x2^2 + x3^2 on the unit representative.
 
     Zero exactly on the lines of the fiber over the identity; positive
-    outside the conic, negative inside.
+    outside the conic, negative inside.  On a plane covector it is also the
+    dual form, since diag(1,-1,1) is its own inverse: zero on tangent planes
+    of the conic, positive iff the plane meets the open interior.
     """
     p = x if isinstance(x, ProjectivePoint) else ProjectivePoint(x)
     v = p.coords
     return float(v[0] ** 2 - v[1] ** 2 + v[2] ** 2)
 
 
-def dual_conic_eval(y) -> float:
-    """Dual form y1^2 - y2^2 + y3^2 on a plane covector.
-
-    Zero on tangent planes of the conic; positive iff the plane meets the
-    open interior of the conic.
-    """
-    p = y if isinstance(y, ProjectiveCovector) else ProjectiveCovector(y)
-    v = p.coords
-    return float(v[0] ** 2 - v[1] ** 2 + v[2] ** 2)
+dual_conic_eval = conic_eval
 
 
 def criticality_residual(f: Flag, x: PlanePoint) -> float:
@@ -536,18 +495,21 @@ def _project_rows(lines: np.ndarray, planes: np.ndarray, max_iter: int = 100) ->
     return ProjectedRows(boundary, phi, point, iterations, grad_norm, status)
 
 
-def project(f: Flag, frame: ReduciblePlaneFrame | None = None, max_iter: int = 100) -> Projection:
+def project(f: Flag, frame: GroupElem | None = None, max_iter: int = 100) -> PlanePoint | BoundaryPoint:
     """Project a flag onto the closed model plane through a frame.
 
-    The one-row case of ``_project_rows``; raises ``ProjectionError`` when
-    the Newton minimization fails.
+    The flag is pulled back by ``frame`` (a group element carrying the
+    model plane onto a reducible plane) and sent to the interior
+    ``PlanePoint`` minimizing its horofunction or to the ``BoundaryPoint``
+    whose thickening contains it.  The one-row case of ``_project_rows``;
+    raises ``ProjectionError`` when the Newton minimization fails.
     """
     lines, planes = f.line.coords[None], f.plane.coords[None]
     if frame is not None:
-        lines, planes = _pullback_rows(frame.g, lines, planes)
+        lines, planes = _pullback_rows(frame, lines, planes)
     rows = _project_rows(lines, planes, max_iter)
     rows.raise_first_failure()
     if rows.boundary[0]:
-        return Projection.at_boundary(BoundaryPoint(float(rows.phi[0])))
+        return BoundaryPoint(float(rows.phi[0]))
     a, b, c = rows.point[:, 0]
-    return Projection.interior(PlanePoint(float(a), float(b), float(c)))
+    return PlanePoint(float(a), float(b), float(c))

@@ -47,9 +47,10 @@ def test_certificate_fails_below_analytic_floor(tmp_path, capsys, monkeypatch):
 
 
 def test_certificate_rejects_beta_one(tmp_path, capsys):
-    with pytest.raises(SystemExit) as exc:
-        run(["certificate", "--beta-max", "1.0", "--out", str(tmp_path / "r.json")])
-    assert exc.value.code == 2
+    for beta_max in ("1.0", "nan"):
+        with pytest.raises(SystemExit) as exc:
+            run(["certificate", "--beta-max", beta_max, "--out", str(tmp_path / "r.json")])
+        assert exc.value.code == 2
 
 
 @pytest.mark.parametrize(
@@ -146,9 +147,10 @@ def test_gap_scan_barbot_zero_matches_red(tmp_path):
 
 
 def test_gap_scan_barbot_requires_chi(tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        run(["gap-scan", "--family", "barbot", "--out-prefix", str(tmp_path / "x")])
-    assert exc.value.code == 2
+    for chi in ([], ["--chi", "1,2,3"]):
+        with pytest.raises(SystemExit) as exc:
+            run(["gap-scan", "--family", "barbot", *chi, "--out-prefix", str(tmp_path / "x")])
+        assert exc.value.code == 2
 
 
 def test_gap_scan_irr_doubles_minima(tmp_path):
@@ -193,6 +195,24 @@ def test_certify_flow_deterministic(tmp_path):
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
+#: The certify-flow report at the defaults; the cone frames and the
+#: projections must reproduce it exactly.
+STABLE_FLOW_ESTIMATES = [0.04999949999894733, 0.24999949999762297, 0.4999994999993857, 0.9999994999965292]
+STABLE_FLOW_DISPLACEMENTS = [0.001999999996969537, 0.0010467747774076663, 0.0002841949785801212]
+
+
+def test_certify_flow_default_report_is_stable(tmp_path):
+    out = tmp_path / "flow.json"
+    assert run(["certify-flow", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    nesting = payload["nesting"]
+    assert [r["t"] for r in nesting["results"]] == [0.1, 0.5, 1.0, 2.0]
+    assert [r["estimate"] for r in nesting["results"]] == STABLE_FLOW_ESTIMATES
+    assert [p["min_displacement"] for p in payload["pushforwards"]] == STABLE_FLOW_DISPLACEMENTS
+    assert all(p["inside"] == p["samples"] == 512 for p in payload["pushforwards"])
+    assert payload["certified"]
+
+
 def test_certify_flow_zero_step_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run(["certify-flow", "--t-step", "0", "--out", str(tmp_path / "x.json")])
@@ -208,6 +228,8 @@ def test_certify_flow_zero_step_usage_error(tmp_path):
         ["--samples", "-5"],
         ["--betas", ","],
         ["--times", ","],
+        ["--angle", "nan"],
+        ["--angle", "inf"],
     ],
 )
 def test_certify_flow_invalid_input_usage_error(tmp_path, extra):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from flagcones.flags import (
     Flag,
@@ -19,9 +20,13 @@ from flagcones.flags import (
 )
 from flagcones.cones import (
     BOUNDARY,
+    DEFAULT_TOL,
     INSIDE,
     Multicone,
     OUTSIDE,
+    _chart_rows,
+    _classify_position,
+    _positions,
     boundary_chart,
     contains_flag,
     endpoint_flags,
@@ -31,7 +36,7 @@ from flagcones.cones import (
     side_flags,
 )
 from flagcones.flags import SpdPoint, busemann
-from flagcones.plane import PlanePoint, fiber_over_interior
+from flagcones.plane import AXIS_DIRECTION, PlanePoint, embedded_rotation, fiber_over_interior, plane_sqrt_frame
 
 
 def std_flag(x, y):
@@ -273,3 +278,63 @@ def test_membership_rejects_invalid_tol(tol):
         nest_estimate(MODEL, inner, 64, tol)
     with pytest.raises(GeometryError):
         limit_flag([MODEL, inner, MODEL.translated_along_axis(2.0)], 64, tol)
+
+
+def test_multicone_takes_a_group_element():
+    with pytest.raises(GeometryError):
+        Multicone(np.eye(3))
+
+
+# --- the three-input recomposition the canonical frame replaced, kept as the reference
+
+
+def _reference_total(frame, axis_angle):
+    """frame . sqrt(base) . rot(axis_angle / 2), with the base at the identity."""
+    g = frame @ plane_sqrt_frame(PlanePoint.identity()).mat
+    return g @ embedded_rotation(axis_angle / 2.0).mat
+
+
+def _same_bits(a, b):
+    return np.array_equal(a + 0.0, b + 0.0)  # + 0.0 identifies -0.0 with 0.0
+
+
+_CONE_MOVES = st.lists(
+    st.one_of(
+        st.tuples(st.just("transformed"), st.integers(0, 2**32 - 1)),
+        st.tuples(st.just("translated"), st.floats(-3.0, 3.0)),
+    ),
+    max_size=3,
+)
+
+
+@settings(deadline=None, max_examples=40)
+@given(angle=st.floats(-2 * math.pi, 2 * math.pi), moves=_CONE_MOVES)
+def test_canonical_frame_matches_three_input_recomposition(angle, moves):
+    # model, transformed and translated_along_axis give the reference total
+    # bit for bit; reversed_axis composes rot(pi/2) instead of adding pi to
+    # the angle, so it agrees to rounding
+    cone = Multicone.model(angle)
+    frame, axis_angle = np.eye(3), angle
+    assert _same_bits(cone.total.mat, _reference_total(frame, axis_angle))
+    for move, arg in moves:
+        total = _reference_total(frame, axis_angle)
+        if move == "transformed":
+            g = random_group_elem(np.random.default_rng(arg))
+            cone, frame = cone.transformed(g), g.mat @ total
+        else:
+            cone, frame = cone.translated_along_axis(arg), total @ scipy.linalg.expm(0.5 * arg * AXIS_DIRECTION)
+        axis_angle = 0.0
+        assert _same_bits(cone.total.mat, _reference_total(frame, axis_angle))
+    reversed_ref = _reference_total(frame, axis_angle + math.pi)
+    scale = max(1.0, float(np.abs(reversed_ref).max()))
+    assert np.abs(cone.reversed_axis().total.mat - reversed_ref).max() <= 1e-12 * scale
+
+    # reversing twice gives the same cone: 200 probes on the boundaries of
+    # the translates by +-0.5 (inside and outside) classify exactly alike
+    twice = cone.reversed_axis().reversed_axis()
+    theta, loglam = np.meshgrid(np.linspace(0, 2 * math.pi, 10, endpoint=False), np.linspace(-2, 2, 10))
+    rows = [_chart_rows(cone.translated_along_axis(s), theta.ravel(), np.exp(loglam.ravel())) for s in (0.5, -0.5)]
+    lines, planes = np.concatenate([r[0] for r in rows]), np.concatenate([r[1] for r in rows])
+    expected = _classify_position(*_positions(cone, lines, planes), DEFAULT_TOL)
+    assert expected.tolist() == [INSIDE] * 100 + [OUTSIDE] * 100
+    assert np.array_equal(_classify_position(*_positions(twice, lines, planes), DEFAULT_TOL), expected)

@@ -185,11 +185,14 @@ def test_curvature_negative_in_admissible_regime():
             assert k.values[dom.interior_mask()].max() < 0
 
 
-def test_ratio_identity_diagnostic_shrinks():
+@pytest.mark.parametrize("k", [1, 2])
+def test_ratio_identity_diagnostic_shrinks(k):
+    # the floor is relative to the maximum of |t|^2 inside the disk; for k = 2
+    # the square grid's corners reach four times that maximum
     vals = []
     for n in (48, 96):
         dom = DomainSpec("disk", n, radius=0.8)
-        datum = HiggsDatum.monomial(1.0, 1, dom)
+        datum = HiggsDatum.monomial(1.0, k, dom)
         u, _ = solve(dom, datum)
         vals.append(ratio_identity_residual(u, datum, dom))
     assert vals[1] <= 0.5 * vals[0]
