@@ -21,7 +21,7 @@ from . import certificate as cert
 from . import pde
 from . import reps
 from .flags import GeometryError, NumericalDomainError
-from .plane import PlanePoint, ProjectionError
+from .plane import PlanePoint, ProjectionError, _conic_rows, _fiber_rows
 
 
 def _write_json(path, payload) -> None:
@@ -152,6 +152,8 @@ def _cmd_certify_flow(args, parser) -> int:
 
 
 def _cmd_fiber(args, parser) -> int:
+    if args.theta_steps < 1:
+        parser.error("--theta-steps must be positive")
     if args.point is not None:
         if len(args.point) != 3:
             parser.error("--point takes exactly A,B,C")
@@ -161,19 +163,18 @@ def _cmd_fiber(args, parser) -> int:
         point = PlanePoint(a, b, c)
     else:
         point = PlanePoint.identity()
-    from .plane import fiber_over_interior, conic_eval
 
     report = None
     if args.conic_position:
         rep = reps.reducible_representation()
         report = reps.conic_position_check(rep, n_samples=args.samples, seed=args.seed)
+    thetas = 2.0 * math.pi * np.arange(args.theta_steps) / args.theta_steps
+    lines, planes = _fiber_rows(point, thetas)
+    table = np.column_stack([thetas, lines, planes, _conic_rows(lines)])
     with open(f"{args.out_prefix}_fiber.csv", "w", encoding="utf-8") as fh:
         fh.write("theta,x1,x2,x3,y1,y2,y3,conic_eval\n")
-        for k in range(args.theta_steps):
-            th = 2.0 * math.pi * k / args.theta_steps
-            f = fiber_over_interior(point, th)
-            cells = (th, *f.line.coords, *f.plane.coords, conic_eval(f.line))
-            fh.write(",".join(repr(float(v)) for v in cells) + "\n")
+        for cells in table.tolist():
+            fh.write(",".join(map(repr, cells)) + "\n")
     if report is not None:
         _write_json(f"{args.out_prefix}_conic.json", report)
         print(

@@ -9,7 +9,8 @@ SL(2,R) embedded in the outer 2x2 block.
 onto H0 to the whole flag manifold: a flag is sent either to the interior
 point minimizing its horofunction over the plane, or to the boundary
 point whose thickening contains it.  Interior fibers are conics
-(``fiber_over_interior``, ``conic_eval``), boundary fibers are thickenings
+(``fiber_over_interior``, ``conic_eval``, with the row forms ``_fiber_rows``
+and ``_conic_rows``), boundary fibers are thickenings
 (``boundary_fiber_contains``).
 
 Projection is batched: ``_project_rows`` takes N flags as (N, 3) line and
@@ -40,8 +41,9 @@ from .flags import (
     ProjectiveCovector,
     ProjectivePoint,
     SpdPoint,
+    _act_rows,
+    _flag_rows,
     _pullback_rows,
-    act_on_flag,
     pullback_flag,
     thickening_contains,
 )
@@ -212,18 +214,35 @@ class BoundaryPoint:
         return min(abs(d), abs(abs(d) - math.pi)) <= tol
 
 
+def _fiber_rows(x: PlanePoint, thetas) -> tuple[np.ndarray, np.ndarray]:
+    """``fiber_over_interior`` at an array of conic angles, as (N, 3) flag rows."""
+    c, s = np.cos(thetas), np.sin(thetas)
+    one = np.ones_like(c)
+    lines, planes = _flag_rows(np.stack([c, one, s], axis=1), np.stack([-c, one, -s], axis=1))
+    if x.same_as(PlanePoint.identity(), tol=0.0):
+        return lines, planes
+    return _act_rows(plane_sqrt_frame(x), lines, planes)
+
+
 def fiber_over_interior(x: PlanePoint, theta: float) -> Flag:
     """The fiber flag over x at conic angle theta.
 
     Over the identity this is ([cos t : 1 : sin t], [-cos t : 1 : -sin t]);
     over a general point it is the transvection translate by the square
-    root of x.
+    root of x.  The one-row case of ``_fiber_rows``.
     """
-    c, s = math.cos(theta), math.sin(theta)
-    base = Flag(ProjectivePoint([c, 1.0, s]), ProjectiveCovector([-c, 1.0, -s]))
-    if x.same_as(PlanePoint.identity(), tol=0.0):
-        return base
-    return act_on_flag(plane_sqrt_frame(x), base)
+    lines, planes = _fiber_rows(x, np.array([float(theta)]))
+    return Flag(ProjectivePoint(lines[0]), ProjectiveCovector(planes[0]))
+
+
+def _conic_rows(rows: np.ndarray) -> np.ndarray:
+    """``conic_eval`` of each row of an (N, 3) array of unit representatives.
+
+    Squares by ``float_power``, the C ``pow`` that ``**`` on a float64
+    scalar also calls (the array ``**`` squares by multiplication, which
+    differs from it in the last bit), so each row matches the scalar form.
+    """
+    return np.float_power(rows[:, 0], 2) - np.float_power(rows[:, 1], 2) + np.float_power(rows[:, 2], 2)
 
 
 def conic_eval(x) -> float:
@@ -235,8 +254,7 @@ def conic_eval(x) -> float:
     of the conic, positive iff the plane meets the open interior.
     """
     p = x if isinstance(x, ProjectivePoint) else ProjectivePoint(x)
-    v = p.coords
-    return float(v[0] ** 2 - v[1] ** 2 + v[2] ** 2)
+    return float(_conic_rows(p.coords[None])[0])
 
 
 dual_conic_eval = conic_eval

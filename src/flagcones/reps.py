@@ -16,6 +16,11 @@ extracts attracting eigenflags, ``conic_position_check`` locates them
 relative to the fibration conic, and ``flow_nesting_certify`` runs the
 cone-nestedness certificate along an axis flow.
 
+Attracting eigenflags are extracted in batches: ``_attracting_rows``
+takes an (N,3,3) stack through one stacked eigen-decomposition and
+returns (N, 3) line and covector rows with a status code per row in
+place of an exception; ``attracting_flag`` is its one-row case.
+
 Words are handled as arrays of letter indices into ``LETTERS`` and
 evaluated in batches: a stack of N words is multiplied left to right as
 one (N,3,3) matmul per position against the (8,3,3) letter stack of the
@@ -30,11 +35,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
+
 import numpy as np
 
-from .flags import Flag, GeometryError, GroupElem, ProjectiveCovector, ProjectivePoint
+from .flags import Flag, GeometryError, GroupElem, ProjectiveCovector, ProjectivePoint, _flag_rows
 from .cones import DEFAULT_TOL, Multicone, _all_inside, _inner_positions, _nest_lower
-from .plane import conic_eval, dual_conic_eval
+from .plane import _conic_rows
 
 GENERATOR_NAMES = ("a1", "b1", "a2", "b2")
 
@@ -50,7 +57,8 @@ _LETTER_INDEX = {l: i for i, l in enumerate(LETTERS)}
 #: Row i: the 7 letter indices that may follow index i in a reduced word, in letter order.
 _SUCCESSORS = np.array([[j for j in range(8) if j != i ^ 1] for i in range(8)])
 
-_SWAP_23 = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+#: The swap of the second and third coordinates, as an index permutation.
+_SWAP_23 = np.array([0, 2, 1])
 _SWAP_23.setflags(write=False)
 
 
@@ -201,9 +209,18 @@ def _sample_words(rng: np.random.Generator, n: int, length: int) -> np.ndarray:
     if length == 0:
         return np.empty((n, 0), dtype=np.intp)
     offsets = rng.integers(np.tile(np.r_[8, np.full(length - 1, 7)], n)).reshape(n, length)
+    return _reduced_words(offsets)
+
+
+def _reduced_words(offsets: np.ndarray) -> np.ndarray:
+    """(n, length) letter indices of reduced words from their drawn offsets.
+
+    The first offset is a letter index; each later one picks among the 7
+    successors of the letter before it.
+    """
     idx = np.empty_like(offsets)
     idx[:, 0] = offsets[:, 0]
-    for k in range(1, length):
+    for k in range(1, offsets.shape[1]):
         idx[:, k] = _SUCCESSORS[idx[:, k - 1], offsets[:, k]]
     return idx
 
@@ -428,26 +445,73 @@ def _length_row(idx, mats):
 #: Relative gap ``attracting_flag`` requires between successive eigenvalue moduli.
 ATTRACTING_GAP_TOL = 1e-9
 
+#: Row status codes of ``_attracting_rows``; failures carry ``NonHyperbolicError`` messages.
+HYPERBOLIC, NOT_SEPARATED, NOT_REAL = 0, 1, 2
+_NON_HYPERBOLIC = {
+    NOT_SEPARATED: "eigenvalue moduli are not strictly separated",
+    NOT_REAL: "dominant eigendata is not real",
+}
+
+
+class AttractingRows(NamedTuple):
+    """Attracting eigenflags of N matrices, one entry per row.
+
+    ``lines`` and ``planes`` are validated (N, 3) flag rows (nan on
+    failed rows); ``status`` is HYPERBOLIC or the row's failure code.
+    """
+
+    lines: np.ndarray
+    planes: np.ndarray
+    status: np.ndarray
+
+
+def _attracting_rows(mats) -> AttractingRows:
+    """Attracting eigenflags of an (N,3,3) stack with strictly dominant eigenvalues.
+
+    The line is the dominant eigenvector; the plane is the invariant
+    hyperplane spanned by the two dominant eigendirections, i.e. the
+    covector is the dominant left eigenvector of the inverse.  One stacked
+    ``eig``; only rows whose moduli are separated by ATTRACTING_GAP_TOL
+    reach the stacked ``inv``, since one defective row would make it raise.
+    Every operation acts on each row alone, so a row's result does not
+    depend on the rest of the batch.
+    """
+    mats = np.asarray(mats, dtype=float)
+    vals, vecs = np.linalg.eig(mats)
+    order = np.argsort(-np.abs(vals), axis=1)
+    moduli = np.abs(np.take_along_axis(vals, order, axis=1))
+    vecs = np.take_along_axis(vecs, order[:, None, :], axis=2)
+    m1, m2, m3 = moduli.T
+    separated = (m1 > (1.0 + ATTRACTING_GAP_TOL) * m2) & (m2 > (1.0 + ATTRACTING_GAP_TOL) * m3)
+    status = np.where(separated, HYPERBOLIC, NOT_SEPARATED)
+    rows = np.flatnonzero(separated)
+    vecs = vecs[rows]
+    # eig returns complex data for the whole stack when any row has a
+    # complex pair; a pair has equal moduli, so separated rows are real and
+    # are inverted in real arithmetic, as they are alone
+    if np.iscomplexobj(vecs) and not vecs.imag.any():
+        vecs = vecs.real
+    line = vecs[:, :, 0]
+    left = np.linalg.inv(vecs)[:, 2, :]
+    real = np.maximum(np.abs(line.imag).max(axis=1), np.abs(left.imag).max(axis=1)) <= 1e-9
+    status[rows[~real]] = NOT_REAL
+    lines = np.full((len(mats), 3), np.nan)
+    planes = np.full((len(mats), 3), np.nan)
+    lines[rows[real]], planes[rows[real]] = _flag_rows(line[real].real, left[real].real)
+    return AttractingRows(lines, planes, status)
+
 
 def attracting_flag(mat) -> Flag:
     """Attracting eigenflag of a matrix with strictly dominant eigenvalues.
 
-    The line is the dominant eigenvector; the plane is the invariant
-    hyperplane spanned by the two dominant eigendirections, i.e. the
-    covector is the dominant left eigenvector of the inverse.
+    The one-row case of ``_attracting_rows``; raises ``NonHyperbolicError``
+    when the moduli are not separated or the dominant eigendata is not real.
     """
-    mat = np.asarray(mat, dtype=float)
-    vals, vecs = np.linalg.eig(mat)
-    order = np.argsort(-np.abs(vals))
-    vals, vecs = vals[order], vecs[:, order]
-    m1, m2, m3 = np.abs(vals)
-    if not (m1 > (1.0 + ATTRACTING_GAP_TOL) * m2 and m2 > (1.0 + ATTRACTING_GAP_TOL) * m3):
-        raise NonHyperbolicError("eigenvalue moduli are not strictly separated")
-    left = np.linalg.inv(vecs)[2, :]
-    line = vecs[:, 0]
-    if max(float(np.abs(line.imag).max()), float(np.abs(left.imag).max())) > 1e-9:
-        raise NonHyperbolicError("dominant eigendata is not real")
-    return Flag(ProjectivePoint(line.real), ProjectiveCovector(left.real))
+    rows = _attracting_rows(np.asarray(mat, dtype=float)[None])
+    status = int(rows.status[0])
+    if status != HYPERBOLIC:
+        raise NonHyperbolicError(_NON_HYPERBOLIC[status])
+    return Flag(ProjectivePoint(rows.lines[0]), ProjectiveCovector(rows.planes[0]))
 
 
 def limit_flag_sample(rep: Representation, word) -> Flag:
@@ -458,13 +522,25 @@ def limit_flag_sample(rep: Representation, word) -> Flag:
     return attracting_flag(rep.evaluate(w))
 
 
+#: Offset bounds of one sampled word of each length 1..6, as ``_sample_words`` passes them.
+_CONIC_WORD_BOUNDS = {length: np.r_[8, np.full(length - 1, 7)] for length in range(1, 7)}
+
+
 def conic_position_check(rep: Representation, n_samples: int = 1000, seed: int = 0) -> dict:
     """Position of sampled limit flags relative to the fibration conic.
 
-    Requires the untwisted reducible family.  Images are conjugated into
-    the model-plane coordinates (middle coordinate fixed) before the conic
-    evaluations.  Lines are expected outside the conic, planes are
+    Requires the untwisted reducible family.  Each sample is a seeded
+    reduced word of uniform length 1..6, drawn as ``random_reduced_word``
+    draws it; words whose images have no attracting flag are skipped, so
+    the first n_samples hyperbolic words count.  Images are conjugated
+    into the model-plane coordinates (middle coordinate fixed) before the
+    conic evaluations.  Lines are expected outside the conic, planes are
     expected to meet its interior; minimal margins are reported.
+
+    Each round draws the samples still missing, multiplies them per length
+    with ``_word_products`` and extracts their flags in one
+    ``_attracting_rows`` call; the draws do not depend on the outcomes, so
+    the rounds take the words one sample at a time would.
     """
     chi = rep.params.get("chi")
     if rep.family != "reducible-fuchsian" and not (
@@ -474,33 +550,31 @@ def conic_position_check(rep: Representation, n_samples: int = 1000, seed: int =
     if n_samples < 1:
         raise GeometryError("conic_position_check needs at least one sample")
     rng = np.random.default_rng(seed)
-    lines_outside = 0
-    planes_meet = 0
-    min_line_margin = math.inf
-    min_plane_margin = math.inf
-    collected = 0
-    while collected < n_samples:
-        w = random_reduced_word(rng, int(rng.integers(1, 7)))
-        try:
-            m = rep.evaluate(w)
-            f = attracting_flag(_SWAP_23 @ m @ _SWAP_23)
-        except NonHyperbolicError:
-            continue
-        collected += 1
-        cv = conic_eval(f.line)
-        dv = dual_conic_eval(f.plane)
-        if cv > 0:
-            lines_outside += 1
-        if dv > 0:
-            planes_meet += 1
-        min_line_margin = min(min_line_margin, cv)
-        min_plane_margin = min(min_plane_margin, dv)
+    line_margins, plane_margins = [], []
+    missing = n_samples
+    while missing:
+        lengths = np.empty(missing, dtype=np.intp)
+        offsets = []
+        for i in range(missing):
+            lengths[i] = length = int(rng.integers(1, 7))
+            offsets.append(rng.integers(_CONIC_WORD_BOUNDS[length]))
+        mats = np.empty((missing, 3, 3))
+        for length in np.unique(lengths):
+            at = np.flatnonzero(lengths == length)
+            mats[at] = _word_products(rep._letters, _reduced_words(np.stack([offsets[i] for i in at])))
+        rows = _attracting_rows(mats[:, _SWAP_23][:, :, _SWAP_23])
+        ok = rows.status == HYPERBOLIC
+        line_margins.append(_conic_rows(rows.lines[ok]))
+        plane_margins.append(_conic_rows(rows.planes[ok]))
+        missing -= int(ok.sum())
+    cv = np.concatenate(line_margins)
+    dv = np.concatenate(plane_margins)
     return {
         "samples": n_samples,
-        "lines_outside": lines_outside,
-        "planes_meet_interior": planes_meet,
-        "min_line_margin": min_line_margin,
-        "min_plane_margin": min_plane_margin,
+        "lines_outside": int(np.count_nonzero(cv > 0)),
+        "planes_meet_interior": int(np.count_nonzero(dv > 0)),
+        "min_line_margin": float(cv.min()),
+        "min_plane_margin": float(dv.min()),
         "seed": seed,
     }
 

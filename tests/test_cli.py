@@ -276,6 +276,15 @@ def test_fiber_conic_position_rejects_zero_samples(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("steps", ["0", "-3"])
+def test_fiber_rejects_non_positive_theta_steps(tmp_path, capsys, steps):
+    with pytest.raises(SystemExit) as exc:
+        run(["fiber", "--theta-steps", steps, "--out-prefix", str(tmp_path / "fib")])
+    assert exc.value.code == 2
+    assert "--theta-steps must be positive" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_fiber_invalid_point(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run(["fiber", "--point", "1,0,0", "--out-prefix", str(tmp_path / "x")])

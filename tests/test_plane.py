@@ -12,6 +12,7 @@ from flagcones.flags import (
     random_flag,
     random_group_elem,
 )
+from flagcones import plane
 from flagcones.plane import (
     CONVERGED,
     BoundaryPoint,
@@ -24,6 +25,7 @@ from flagcones.plane import (
     dual_conic_eval,
     fiber_over_interior,
     plane_geodesic_point,
+    plane_sqrt_frame,
     project,
 )
 
@@ -285,6 +287,30 @@ def test_batched_projection_agrees_with_scalar_newton(flags):
             ref = PlanePoint(*value)
             assert abs(PlanePoint(a, b, c).sigma - ref.sigma) <= 1e-12
             assert np.abs(rows.point[:, i] - np.array(value)).max() <= 1e-11 * (ref.a + ref.b)
+
+
+def _reference_fiber_flag(x, theta):
+    """The scalar fiber flag and conic value that the row forms replaced."""
+    c, s = math.cos(theta), math.sin(theta)
+    f = std_flag([c, 1.0, s], [-c, 1.0, -s])
+    if not x.same_as(PlanePoint.identity(), tol=0.0):
+        f = act_on_flag(plane_sqrt_frame(x), f)
+    v = f.line.coords
+    return f, float(v[0] ** 2 - v[1] ** 2 + v[2] ** 2)
+
+
+@settings(deadline=None, max_examples=60)
+@given(r=st.sampled_from([0.0, 0.3, 6.0]), angle=ANGLES, thetas=st.lists(ANGLES, min_size=1, max_size=8))
+def test_fiber_and_conic_rows_match_scalar_forms(r, angle, thetas):
+    # the rows the fiber command writes equal the scalar flags and conic
+    # values, bit for bit, at the identity and away from it
+    x = PlanePoint.identity() if r == 0.0 else _exp_point(r, angle)
+    lines, planes = plane._fiber_rows(x, np.array(thetas))
+    values = plane._conic_rows(lines)
+    for i, theta in enumerate(thetas):
+        ref, value = _reference_fiber_flag(x, theta)
+        assert np.array_equal(lines[i], ref.line.coords) and np.array_equal(planes[i], ref.plane.coords)
+        assert values[i] == value == conic_eval(ref.line)
 
 
 @settings(deadline=None, max_examples=100)

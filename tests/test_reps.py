@@ -1,16 +1,22 @@
+import json
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from flagcones.flags import GeometryError, gap_vector
+from flagcones.flags import Flag, GeometryError, ProjectiveCovector, ProjectivePoint, gap_vector, random_group_elem
+from flagcones.plane import conic_eval, dual_conic_eval
 from flagcones.reps import (
     GENERATOR_NAMES,
+    HYPERBOLIC,
+    NOT_SEPARATED,
     NonHyperbolicError,
     OCTAGON_HALF_LENGTH,
     RELATION_WORD,
     SurfaceGroupPresentation,
+    _attracting_rows,
     attracting_flag,
     barbot_twist,
     conic_position_check,
@@ -31,6 +37,53 @@ from flagcones.reps import (
 FUCHSIAN = octagon_fuchsian()
 RED = reducible_representation(FUCHSIAN)
 IRR = irreducible_representation(FUCHSIAN)
+
+#: Swap of the second and third coordinates: model-plane coordinates of the reducible family.
+SWAP_23 = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+
+
+def _reference_attracting_flag(mat) -> Flag:
+    """The scalar extraction that ``_attracting_rows`` replaced: one eig and one inv per matrix."""
+    mat = np.asarray(mat, dtype=float)
+    vals, vecs = np.linalg.eig(mat)
+    order = np.argsort(-np.abs(vals))
+    vals, vecs = vals[order], vecs[:, order]
+    m1, m2, m3 = np.abs(vals)
+    if not (m1 > (1.0 + 1e-9) * m2 and m2 > (1.0 + 1e-9) * m3):
+        raise NonHyperbolicError("eigenvalue moduli are not strictly separated")
+    left = np.linalg.inv(vecs)[2, :]
+    line = vecs[:, 0]
+    if max(float(np.abs(line.imag).max()), float(np.abs(left.imag).max())) > 1e-9:
+        raise NonHyperbolicError("dominant eigendata is not real")
+    return Flag(ProjectivePoint(line.real), ProjectiveCovector(left.real))
+
+
+def _reference_conic_position_check(rep, n_samples, seed):
+    """The per-sample loop that the batched ``conic_position_check`` replaced."""
+    rng = np.random.default_rng(seed)
+    lines_outside = planes_meet = collected = 0
+    min_line_margin = min_plane_margin = math.inf
+    while collected < n_samples:
+        w = random_reduced_word(rng, int(rng.integers(1, 7)))
+        try:
+            f = _reference_attracting_flag(SWAP_23 @ rep.evaluate(w) @ SWAP_23)
+        except NonHyperbolicError:
+            continue
+        collected += 1
+        cv = conic_eval(f.line)
+        dv = dual_conic_eval(f.plane)
+        lines_outside += cv > 0
+        planes_meet += dv > 0
+        min_line_margin = min(min_line_margin, cv)
+        min_plane_margin = min(min_plane_margin, dv)
+    return {
+        "samples": n_samples,
+        "lines_outside": lines_outside,
+        "planes_meet_interior": planes_meet,
+        "min_line_margin": min_line_margin,
+        "min_plane_margin": min_plane_margin,
+        "seed": seed,
+    }
 
 
 def test_octagon_traces_and_length():
@@ -251,15 +304,94 @@ def test_conic_position_check():
     assert report["min_plane_margin"] > 0
 
 
+@pytest.mark.parametrize("seed", [0, 1, 3, 7, 42])
+@pytest.mark.parametrize("n", [1, 20, 300])
+def test_conic_position_check_matches_scalar_loop(seed, n):
+    # same words, same flags, same report as the per-sample loop, bit for bit
+    batched = conic_position_check(RED, n_samples=n, seed=seed)
+    assert json.dumps(batched) == json.dumps(_reference_conic_position_check(RED, n, seed))
+
+
+def test_conic_position_check_zero_twist_matches_scalar_loop():
+    rep = barbot_twist(FUCHSIAN, (0.0, 0.0, 0.0, 0.0))
+    batched = conic_position_check(rep, n_samples=50, seed=9)
+    assert json.dumps(batched) == json.dumps(_reference_conic_position_check(rep, 50, 9))
+
+
+def _matrix(kind, seed, scale):
+    rng = np.random.default_rng(seed)
+    if kind == "normal":
+        return rng.normal(size=(3, 3)) * scale
+    if kind == "group":
+        return random_group_elem(rng).mat
+    if kind == "word":
+        return RED.evaluate(random_reduced_word(rng, int(rng.integers(1, 7))))
+    # a 2x2 block with a complex pair (rotation) or a double eigenvalue
+    # (Jordan block), beside a real eigenvalue above, between or below it
+    block = np.array([[0.0, -1.0], [1.0, 0.0]]) if kind == "rotation" else np.array([[1.0, 1.0], [0.0, 1.0]])
+    out = np.zeros((3, 3))
+    out[:2, :2] = block
+    out[2, 2] = scale
+    return out
+
+
+MATRICES = st.builds(
+    _matrix,
+    st.sampled_from(["normal", "group", "word", "rotation", "jordan"]),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0.25, 1.0, 4.0]),
+)
+
+
+@settings(deadline=None, max_examples=100)
+@given(mats=st.lists(MATRICES, min_size=1, max_size=8))
+def test_attracting_rows_are_independent(mats):
+    # each row of a stack equals that row extracted alone, bit for bit, and
+    # the one-row case agrees with the scalar extraction it replaced
+    stack = np.array(mats)
+    batch = _attracting_rows(stack)
+    for i, m in enumerate(stack):
+        alone = _attracting_rows(m[None])
+        for name, column in batch._asdict().items():
+            assert np.array_equal(column[i], getattr(alone, name)[0], equal_nan=True), name
+        try:
+            ref = _reference_attracting_flag(m)
+        except NonHyperbolicError as exc:
+            with pytest.raises(NonHyperbolicError, match=str(exc)):
+                attracting_flag(m)
+            continue
+        f = attracting_flag(m)
+        assert np.array_equal(f.line.coords, ref.line.coords)
+        assert np.array_equal(f.plane.coords, ref.plane.coords)
+
+
+def test_attracting_rows_mask_non_hyperbolic_rows():
+    # identity, nilpotent Jordan block, complex dominant pair: masked
+    # before the inverse, whose stack would be singular at the Jordan row
+    rng = np.random.default_rng(11)
+    words = [RED.evaluate(random_reduced_word(rng, 3)) for _ in range(3)]
+    rotation = np.diag([0.0, 0.0, 0.25])
+    rotation[:2, :2] = [[0.0, -2.0], [2.0, 0.0]]
+    stack = np.array([words[0], np.eye(3), words[1], np.diag([1.0, 1.0], 1), rotation, words[2]])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(np.linalg.eig(stack)[1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = _attracting_rows(stack)
+    assert rows.status.tolist() == [HYPERBOLIC, NOT_SEPARATED, HYPERBOLIC, NOT_SEPARATED, NOT_SEPARATED, HYPERBOLIC]
+    assert np.isnan(rows.lines[[1, 3, 4]]).all() and np.isnan(rows.planes[[1, 3, 4]]).all()
+    for i in (0, 2, 5):
+        ref = _reference_attracting_flag(stack[i])
+        assert np.array_equal(rows.lines[i], ref.line.coords)
+        assert np.array_equal(rows.planes[i], ref.plane.coords)
+
+
 def test_conic_position_single_generators():
     # each generator's attracting line sits strictly outside the conic
     # after moving to the model-plane coordinates
-    from flagcones.plane import conic_eval
-    from flagcones.reps import attracting_flag, _SWAP_23
-
     for letter in (1, 2, 3, 4, -1, -2, -3, -4):
         m = RED.letter_matrix(letter)
-        f = attracting_flag(_SWAP_23 @ m @ _SWAP_23)
+        f = attracting_flag(SWAP_23 @ m @ SWAP_23)
         assert conic_eval(f.line) > 0.1
 
 
