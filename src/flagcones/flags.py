@@ -425,8 +425,26 @@ def random_flag(rng: np.random.Generator) -> Flag:
     return Flag(ProjectivePoint(x), ProjectiveCovector(y))
 
 
+#: Attempts ``random_group_elem`` makes before it gives up.
+_GROUP_DRAWS = 64
+
+
 def random_group_elem(rng: np.random.Generator, scale: float = 0.7) -> GroupElem:
-    """A random element of SL(3,R), exp of a random trace-free matrix."""
-    a = rng.normal(size=(3, 3)) * scale
-    a -= np.trace(a) / 3.0 * np.eye(3)
-    return GroupElem(scipy.linalg.expm(a))
+    """A random element of SL(3,R), exp of a random trace-free matrix.
+
+    Rounding the entries of a float matrix moves its determinant by about
+    eps times its condition number, so once that passes about 1e6 the
+    float exp(a) can miss determinant 1 by more than the 1e-10 that
+    ``GroupElem`` checks, however it is rescaled (about 5% of draws at
+    scale 4).  Such draws are redrawn, up to ``_GROUP_DRAWS`` times;
+    draws that pass are returned as drawn.
+    """
+    for _ in range(_GROUP_DRAWS):
+        a = rng.normal(size=(3, 3)) * scale
+        a -= np.trace(a) / 3.0 * np.eye(3)
+        try:
+            return GroupElem(scipy.linalg.expm(a))
+        except GeometryError:
+            continue
+    raise GeometryError(f"random_group_elem: no draw at scale {scale} passed the determinant check")
+

@@ -11,7 +11,17 @@ reducible family inside GL(2,R) x R.
 
 ``gap_scan`` enumerates freely reduced words and records per-length
 singular-value and eigenvalue gap statistics, the raw material of the
-linear gap growth certifying the Anosov property.  ``limit_flag_sample``
+linear gap growth certifying the Anosov property.  The gaps come in
+closed form from two products per word.  For det 1 the cofactor matrix
+is cof A = A^-T, and cof(AB) = cof A cof B, so each word is multiplied
+over the letter stack and over its cofactor stack.  With P the product
+and C its cofactor, ||P||_2 = s1 and ||C||_2 = s1 s2, so
+sg12 = 2 log||P|| - log||C|| and sg23 = 2 log||C|| - log||P||.  The
+eigenvalue moduli depend only on tr P and tr C = tr P^-1: |l1| is the
+largest root modulus of x^3 - tr P x^2 + tr C x - 1, and 1/|l3| that of
+the cubic with the traces swapped.  No SVD or eigensolver is involved,
+and each value is accurate to the rounding of the two products, however
+far apart the singular values are.  ``limit_flag_sample``
 extracts attracting eigenflags, ``conic_position_check`` locates them
 relative to the fibration conic, and ``flow_nesting_certify`` runs the
 cone-nestedness certificate along an axis flow.
@@ -23,10 +33,11 @@ place of an exception; ``attracting_flag`` is its one-row case.
 
 Words are handled as arrays of letter indices into ``LETTERS`` and
 evaluated in batches: a stack of N words is multiplied left to right as
-one (N,3,3) matmul per position against the (8,3,3) letter stack of the
-representation, and each exhaustive length is the previous length's
-product stack times its 7 reduced successors.  Sampling takes one seeded
-draw per length, letter for letter the draws of ``random_reduced_word``.
+one (N,3,3) matmul per position against the (8,3,3) letter or cofactor
+stack of the representation, and each exhaustive length is the previous
+length's two product stacks times their 7 reduced successors.  Sampling
+takes one seeded draw per length, letter for letter the draws of
+``random_reduced_word``.
 Enumeration order is deterministic (length, then lexicographic in
 ``LETTERS`` order).
 """
@@ -60,6 +71,11 @@ _SUCCESSORS = np.array([[j for j in range(8) if j != i ^ 1] for i in range(8)])
 #: The swap of the second and third coordinates, as an index permutation.
 _SWAP_23 = np.array([0, 2, 1])
 _SWAP_23.setflags(write=False)
+
+_TINY = np.finfo(float).tiny
+_LN2 = math.log(2.0)
+#: Rows per call of the gap kernels, whose (N,) temporaries then stay in cache.
+_GAP_BLOCK = 4096
 
 
 class NonHyperbolicError(GeometryError):
@@ -260,6 +276,10 @@ class Representation:
         letters = np.stack(letters)
         letters.setflags(write=False)
         object.__setattr__(self, "_letters", letters)
+        # cof A = A^-T for det 1, and letter i ^ 1 is the inverse of letter i
+        cofactors = np.ascontiguousarray(letters[np.arange(8) ^ 1].transpose(0, 2, 1))
+        cofactors.setflags(write=False)
+        object.__setattr__(self, "_cofactors", cofactors)
         res = self.relation_residual()
         if res > 1e-9:
             raise GeometryError(f"relation residual {res:.3e} exceeds 1e-9")
@@ -348,16 +368,106 @@ class GapScan:
         }
 
 
-def _batch_gaps(mats: np.ndarray):
-    s = np.linalg.svd(mats, compute_uv=False)
-    sg12 = np.log(s[:, 0] / s[:, 1])
-    sg23 = np.log(s[:, 1] / s[:, 2])
-    return sg12, sg23
+def _log_norms(mats: np.ndarray) -> np.ndarray:
+    """log of the spectral norm of each matrix of an (N,3,3) stack.
+
+    ||M||_2^2 is the top eigenvalue of the Gram matrix G = M^T M, taken
+    from the trigonometric closed form for symmetric 3x3 matrices.  Each
+    row is first scaled by a power of two that brings its largest entry
+    into [0.5, 1), so G cannot overflow; all work is on (N,) columns.
+    """
+    m = mats.reshape(len(mats), 9)
+    top = np.abs(m[:, 0])
+    for k in range(1, 9):
+        np.maximum(top, np.abs(m[:, k]), out=top)
+    e = np.frexp(top)[1]
+    scale = np.ldexp(1.0, -e)
+    c = [m[:, k] * scale for k in range(9)]
+    g00 = c[0] * c[0] + c[3] * c[3] + c[6] * c[6]
+    g11 = c[1] * c[1] + c[4] * c[4] + c[7] * c[7]
+    g22 = c[2] * c[2] + c[5] * c[5] + c[8] * c[8]
+    g01 = c[0] * c[1] + c[3] * c[4] + c[6] * c[7]
+    g02 = c[0] * c[2] + c[3] * c[5] + c[6] * c[8]
+    g12 = c[1] * c[2] + c[4] * c[5] + c[7] * c[8]
+    q = (g00 + g11 + g22) / 3.0
+    d0, d1, d2 = g00 - q, g11 - q, g22 - q
+    p = np.sqrt((d0 * d0 + d1 * d1 + d2 * d2 + 2.0 * (g01 * g01 + g02 * g02 + g12 * g12)) / 6.0)
+    det = d0 * (d1 * d2 - g12 * g12) - g01 * (g01 * d2 - g12 * g02) + g02 * (g01 * g12 - d1 * g02)
+    # a scalar G has p = det = 0, and then r = 0 gives its eigenvalue q
+    r = np.clip(det / np.maximum(2.0 * p * p * p, _TINY), -1.0, 1.0)
+    top_eig = q + 2.0 * p * np.cos(np.arccos(r) / 3.0)
+    return 0.5 * np.log(top_eig) + e * _LN2
 
 
-def _batch_lg12(mats: np.ndarray):
-    moduli = np.sort(np.abs(np.linalg.eigvals(mats)), axis=1)[:, ::-1]
-    return np.log(moduli[:, 0] / moduli[:, 1])
+def _batch_gaps(mats: np.ndarray, cofs: np.ndarray):
+    """Singular-value gaps (sg12, sg23) of word products and their cofactor products.
+
+    For det 1, s1 = ||P||_2 and s1 s2 = ||cof P||_2, so both gaps follow
+    from the two norms, which ``_log_norms`` gets to a few ulps of the
+    float products with no LAPACK call.
+    """
+    lp = _log_norms(mats)
+    lc = _log_norms(cofs)
+    return 2.0 * lp - lc, 2.0 * lc - lp
+
+
+def _log_traces(mats: np.ndarray):
+    """Traces of an (N,3,3) stack as (mantissa, exponent) rows, trace = m 2^k, free of overflow."""
+    d0, d1, d2 = mats[:, 0, 0], mats[:, 1, 1], mats[:, 2, 2]
+    k = np.frexp(np.maximum(np.maximum(np.abs(d0), np.abs(d1)), np.abs(d2)))[1]
+    return np.ldexp(d0, -k) + np.ldexp(d1, -k) + np.ldexp(d2, -k), k
+
+
+def _log_real_root(ma, ka, mb, kb) -> np.ndarray:
+    """log of the largest modulus among the real roots of x^3 - a x^2 + b x - 1.
+
+    a = ma 2^ka and b = mb 2^kb.  The cubic is solved in z = x / 2^j, with
+    2^j >= max(1, |a|, sqrt|b|) so that every coefficient is at most 3.
+    Rows with three real roots take the trigonometric form and the larger
+    modulus of its outer roots; the others take the one real root by
+    Cardano, in the form that avoids cancellation.  Near a double root
+    either form gives the root that stands apart to full accuracy.
+    """
+    j = np.maximum(np.maximum(ka, (kb + 1) // 2), 0)
+    a3 = np.ldexp(ma, ka - j) / 3.0
+    b = np.ldexp(mb, kb - 2 * j)
+    # z = y + a3, with y^3 + p y + q = 0
+    p = b - 3.0 * a3 * a3
+    q = a3 * (b - 2.0 * a3 * a3) - np.ldexp(1.0, -3 * j)
+    p3 = p / 3.0
+    disc = 0.25 * q * q + p3 * p3 * p3
+    three = disc < 0
+    m = 2.0 * np.sqrt(np.where(three, -p3, 0.0))
+    theta = np.arccos(np.clip(3.0 * q / np.where(three, p * m, -1.0), -1.0, 1.0)) / 3.0
+    z = np.maximum(np.abs(a3 + m * np.cos(theta)), np.abs(a3 + m * np.cos(theta + 2.0 * math.pi / 3.0)))
+    one = np.flatnonzero(~three)
+    if one.size:
+        p, q = p[one], q[one]
+        u = np.cbrt(-0.5 * q - np.copysign(np.sqrt(disc[one]), q))
+        # u = 0 only for p = q = 0, the triple root z = a3
+        z[one] = np.abs(a3[one] + u - p / (3.0 * np.where(u == 0.0, 1.0, u)))
+    return np.log(np.maximum(z, _TINY)) + j * _LN2
+
+
+def _batch_lg12(mats: np.ndarray, cofs: np.ndarray):
+    """Eigenvalue gaps log(|l1| / |l2|) of word products and their cofactor products.
+
+    For det 1 the eigenvalue moduli depend only on t1 = tr P and
+    t2 = tr cof P = tr P^-1.  With R(t1, t2) the largest real-root modulus
+    of x^3 - t1 x^2 + t2 x - 1, the largest root modulus is
+    rho1 = max(R(t1, t2), sqrt R(t2, t1)): a dominant complex pair has
+    modulus 1/sqrt|l3| = sqrt R(t2, t1), and otherwise the maximum is
+    R(t1, t2).  So |l1| = rho1, 1/|l3| = rho2 (the same with t1, t2
+    swapped) and lg12 = 2 log rho1 - log rho2, exactly 0 for a dominant
+    complex pair.  Each root is taken where it is dominant, so the gap is
+    as accurate as the traces allow: an error d in tr P moves log|l1| by
+    about d / |l1|, and one in tr C moves log(1/|l3|) by about d |l3|.
+    """
+    m1, k1 = _log_traces(mats)
+    m2, k2 = _log_traces(cofs)
+    l1 = _log_real_root(m1, k1, m2, k2)
+    l2 = _log_real_root(m2, k2, m1, k1)
+    return 2.0 * np.maximum(l1, 0.5 * l2) - np.maximum(l2, 0.5 * l1)
 
 
 def gap_scan(
@@ -382,14 +492,16 @@ def gap_scan(
     rows = []
     partial = False
 
-    idx = np.arange(8)[:, None]
-    mats = rep._letters
+    # a row needs only each word's first and last letters (for the cyclic test)
+    first = last = np.arange(8)
+    mats, cofs = rep._letters, rep._cofactors
     for length in range(1, min(max_len, exhaustive_len) + 1):
         if length > 1:
-            successors = _SUCCESSORS[idx[:, -1]]
+            successors = _SUCCESSORS[last]
             mats = (mats[:, None] @ rep._letters[successors]).reshape(-1, 3, 3)
-            idx = np.concatenate([np.repeat(idx, 7, axis=0), successors.reshape(-1, 1)], axis=1)
-        rows.append(_length_row(idx, mats))
+            cofs = (cofs[:, None] @ rep._cofactors[successors]).reshape(-1, 3, 3)
+            first, last = np.repeat(first, 7), successors.reshape(-1)
+        rows.append(_length_row(length, first, last, mats, cofs))
 
     extra = [L for L in range(exhaustive_len + 1, max_len + 1)]
     if extra:
@@ -402,7 +514,8 @@ def gap_scan(
             # long plain-float products can overflow; _length_row rejects them by length
             with np.errstate(over="ignore", invalid="ignore"):
                 mats = _word_products(rep._letters, idx)
-            rows.append(_length_row(idx, mats))
+                cofs = _word_products(rep._cofactors, idx)
+            rows.append(_length_row(L, idx[:, 0], idx[:, -1], mats, cofs))
 
     lengths = np.array([r["length"] for r in rows], dtype=float)
     minima = np.array([r["min_sg12"] for r in rows], dtype=float)
@@ -424,17 +537,24 @@ def gap_scan(
     )
 
 
-def _length_row(idx, mats):
-    """Gap statistics of one length's (N, length) index words and their (N,3,3) images."""
-    length = idx.shape[1]
-    if not np.isfinite(mats).all():
+def _length_row(length, first, last, mats, cofs):
+    """Gap statistics of one length's words.
+
+    The words enter as their first and last letter indices and their
+    (N,3,3) product and cofactor-product stacks.
+    """
+    if not (np.isfinite(mats).all() and np.isfinite(cofs).all()):
         raise GeometryError(f"word products of length {length} overflow float64")
-    sg12, sg23 = _batch_gaps(mats)
-    cyc = idx[:, 0] != (idx[:, -1] ^ 1)
-    min_lg12 = float(_batch_lg12(mats[cyc]).min()) if cyc.any() else math.nan
+    sg12, sg23, lg12 = np.empty((3, len(mats)))
+    for lo in range(0, len(mats), _GAP_BLOCK):
+        block = slice(lo, lo + _GAP_BLOCK)
+        sg12[block], sg23[block] = _batch_gaps(mats[block], cofs[block])
+        lg12[block] = _batch_lg12(mats[block], cofs[block])
+    cyc = first != (last ^ 1)
+    min_lg12 = float(lg12[cyc].min()) if cyc.any() else math.nan
     return {
         "length": int(length),
-        "count": len(idx),
+        "count": len(mats),
         "min_sg12": float(sg12.min()),
         "med_sg12": float(np.median(sg12)),
         "min_sg23": float(sg23.min()),
@@ -532,9 +652,11 @@ def conic_position_check(rep: Representation, n_samples: int = 1000, seed: int =
     Requires the untwisted reducible family.  Each sample is a seeded
     reduced word of uniform length 1..6, drawn as ``random_reduced_word``
     draws it; words whose images have no attracting flag are skipped, so
-    the first n_samples hyperbolic words count.  Images are conjugated
-    into the model-plane coordinates (middle coordinate fixed) before the
-    conic evaluations.  Lines are expected outside the conic, planes are
+    the first n_samples hyperbolic words count, and the skipped draws are
+    counted by cause (``rejected_not_separated``: eigenvalue moduli not
+    separated; ``rejected_not_real``: dominant eigendata not real).
+    Images are conjugated into the model-plane coordinates (middle
+    coordinate fixed) before the conic evaluations.  Lines are expected outside the conic, planes are
     expected to meet its interior; minimal margins are reported.
 
     Each round draws the samples still missing, multiplies them per length
@@ -551,6 +673,7 @@ def conic_position_check(rep: Representation, n_samples: int = 1000, seed: int =
         raise GeometryError("conic_position_check needs at least one sample")
     rng = np.random.default_rng(seed)
     line_margins, plane_margins = [], []
+    rejected = np.zeros(3, dtype=np.intp)
     missing = n_samples
     while missing:
         lengths = np.empty(missing, dtype=np.intp)
@@ -563,6 +686,7 @@ def conic_position_check(rep: Representation, n_samples: int = 1000, seed: int =
             at = np.flatnonzero(lengths == length)
             mats[at] = _word_products(rep._letters, _reduced_words(np.stack([offsets[i] for i in at])))
         rows = _attracting_rows(mats[:, _SWAP_23][:, :, _SWAP_23])
+        rejected += np.bincount(rows.status, minlength=3)
         ok = rows.status == HYPERBOLIC
         line_margins.append(_conic_rows(rows.lines[ok]))
         plane_margins.append(_conic_rows(rows.planes[ok]))
@@ -576,6 +700,8 @@ def conic_position_check(rep: Representation, n_samples: int = 1000, seed: int =
         "min_line_margin": float(cv.min()),
         "min_plane_margin": float(dv.min()),
         "seed": seed,
+        "rejected_not_separated": int(rejected[NOT_SEPARATED]),
+        "rejected_not_real": int(rejected[NOT_REAL]),
     }
 
 

@@ -268,6 +268,16 @@ def test_fiber_conic_position(tmp_path):
     assert payload["planes_meet_interior"] == 120
 
 
+def test_fiber_conic_position_reports_rejected_draws(tmp_path):
+    prefix = tmp_path / "fib"
+    run(["fiber", "--theta-steps", "8", "--conic-position", "--samples", "50", "--seed", "2",
+         "--out-prefix", str(prefix)])
+    payload = json.loads((tmp_path / "fib_conic.json").read_text())
+    assert payload["rejected_not_separated"] == 0
+    assert payload["rejected_not_real"] == 0
+    assert payload["lines_outside"] == 50
+
+
 def test_fiber_conic_position_rejects_zero_samples(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run(["fiber", "--theta-steps", "8", "--conic-position", "--samples", "0",

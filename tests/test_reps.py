@@ -63,11 +63,13 @@ def _reference_conic_position_check(rep, n_samples, seed):
     rng = np.random.default_rng(seed)
     lines_outside = planes_meet = collected = 0
     min_line_margin = min_plane_margin = math.inf
+    rejected = {"eigenvalue moduli are not strictly separated": 0, "dominant eigendata is not real": 0}
     while collected < n_samples:
         w = random_reduced_word(rng, int(rng.integers(1, 7)))
         try:
             f = _reference_attracting_flag(SWAP_23 @ rep.evaluate(w) @ SWAP_23)
-        except NonHyperbolicError:
+        except NonHyperbolicError as exc:
+            rejected[str(exc)] += 1
             continue
         collected += 1
         cv = conic_eval(f.line)
@@ -83,6 +85,8 @@ def _reference_conic_position_check(rep, n_samples, seed):
         "min_line_margin": min_line_margin,
         "min_plane_margin": min_plane_margin,
         "seed": seed,
+        "rejected_not_separated": rejected["eigenvalue moduli are not strictly separated"],
+        "rejected_not_real": rejected["dominant eigendata is not real"],
     }
 
 
@@ -316,6 +320,21 @@ def test_conic_position_check_zero_twist_matches_scalar_loop():
     rep = barbot_twist(FUCHSIAN, (0.0, 0.0, 0.0, 0.0))
     batched = conic_position_check(rep, n_samples=50, seed=9)
     assert json.dumps(batched) == json.dumps(_reference_conic_position_check(rep, 50, 9))
+
+
+def test_conic_position_check_counts_rejected_draws():
+    # a1 elliptic, b1 trivial, a2 = b2 hyperbolic: the relation holds, and
+    # every word in a1 and b1 alone has all eigenvalue moduli 1
+    c, s = math.cos(0.7), math.sin(0.7)
+    hyp = np.diag([2.0, 0.5])
+    rep = reducible_representation((np.array([[c, -s], [s, c]]), np.eye(2), hyp, hyp))
+    report = conic_position_check(rep, n_samples=40, seed=5)
+    assert report["rejected_not_separated"] > 0
+    assert report["rejected_not_real"] == 0
+    assert json.dumps(report) == json.dumps(_reference_conic_position_check(rep, 40, 5))
+    # every reduced word up to length 6 is hyperbolic for the octagon group
+    report = conic_position_check(RED, n_samples=300, seed=0)
+    assert report["rejected_not_separated"] == report["rejected_not_real"] == 0
 
 
 def _matrix(kind, seed, scale):
