@@ -14,8 +14,6 @@ from .flags import (
     act_on_point,
     busemann,
     distance,
-    frame_change_complex_to_real,
-    frame_change_real_to_complex,
     gap_vector,
     geodesic,
     is_transverse,
@@ -28,7 +26,6 @@ from .plane import (
     boundary_fiber_contains,
     conic_eval,
     criticality_residual,
-    dual_conic_eval,
     fiber_over_interior,
     project,
 )
@@ -59,23 +56,18 @@ from .certificate import (
 )
 from .pde import (
     DomainSpec,
-    GaugeParams,
     HiggsDatum,
     ScalarField,
     SolveError,
     SolveReport,
     beta_field,
     curvature_field,
-    gauge_equivalent,
-    max_principle_check,
     residual,
-    slice_dimensions,
     solve,
 )
 from .reps import (
     GapScan,
     Representation,
-    SurfaceGroupPresentation,
     barbot_twist,
     conic_position_check,
     flow_nesting_certify,

@@ -298,16 +298,6 @@ def commutator_fields(beta, d: float, z) -> tuple[HermitianMat, HermitianMat]:
     return HermitianMat(m1), HermitianMat(m2)
 
 
-def alpha_coefficient(mat) -> complex:
-    """The corner coefficient pairing a Hermitian field against the cylinder.
-
-    Reads the (3,1) entry; for Hermitian fields the (1,3) entry is its
-    complex conjugate, so the pairing modulus is unaffected by the choice.
-    """
-    m = mat.mat if isinstance(mat, HermitianMat) else np.asarray(mat)
-    return complex(m[2, 0])
-
-
 def _closed_forms(beta: complex, d, z):
     """Closed forms over broadcast (beta, d, z): (a1, a2, p_scaled, margin, eta).
 
@@ -390,9 +380,13 @@ class CertGrid:
         }
 
 
+#: Beta moduli 0.0, 0.1, ..., 0.9 of the default sweep; ``default_grid``
+#: and the ``certificate`` command add the top modulus.
+BETA_MODULUS_STEPS = tuple(np.round(np.arange(0.0, 0.95, 0.1), 10).tolist())
+
+
 def default_grid() -> CertGrid:
-    moduli = tuple(np.round(np.arange(0.0, 0.95, 0.1), 10)) + (0.95,)
-    return CertGrid(beta_moduli=moduli)
+    return CertGrid(beta_moduli=BETA_MODULUS_STEPS + (0.95,))
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ def _float_list(text):
 
 
 def _cmd_certificate(args, parser) -> int:
-    moduli = [m for m in np.round(np.arange(0.0, 0.95, 0.1), 10) if m <= args.beta_max]
+    moduli = [m for m in cert.BETA_MODULUS_STEPS if m <= args.beta_max]
     if args.beta_max >= 0.95 or not moduli or moduli[-1] < args.beta_max:
         moduli.append(args.beta_max)
     grid = cert.CertGrid(

@@ -387,64 +387,3 @@ FRAME_TO_COMPLEX.setflags(write=False)
 _FRAME_TO_REAL = np.linalg.inv(FRAME_TO_COMPLEX)
 _FRAME_TO_REAL.setflags(write=False)
 
-
-def frame_change_real_to_complex(x) -> np.ndarray:
-    """Map a real triple to complexified coordinates.
-
-    z1 = (x1 + i x3)/sqrt(2), z2 = x2, z3 = (x1 - i x3)/sqrt(2).
-    """
-    v = np.asarray(x, dtype=complex).reshape(-1)
-    if v.shape != (3,):
-        raise GeometryError(f"expected a triple, got shape {v.shape}")
-    return FRAME_TO_COMPLEX @ v
-
-
-def frame_change_complex_to_real(z) -> np.ndarray:
-    """Inverse of ``frame_change_real_to_complex`` (returns a complex triple)."""
-    v = np.asarray(z, dtype=complex).reshape(-1)
-    if v.shape != (3,):
-        raise GeometryError(f"expected a triple, got shape {v.shape}")
-    return _FRAME_TO_REAL @ v
-
-
-def random_flag(rng: np.random.Generator) -> Flag:
-    """A random flag: uniform line, uniform incident plane."""
-    while True:
-        x = rng.normal(size=3)
-        nx = np.linalg.norm(x)
-        if nx > 1e-3:
-            x = x / nx
-            break
-    while True:
-        y = rng.normal(size=3)
-        y = y - np.dot(y, x) * x
-        ny = np.linalg.norm(y)
-        if ny > 1e-3:
-            y = y / ny
-            break
-    return Flag(ProjectivePoint(x), ProjectiveCovector(y))
-
-
-#: Attempts ``random_group_elem`` makes before it gives up.
-_GROUP_DRAWS = 64
-
-
-def random_group_elem(rng: np.random.Generator, scale: float = 0.7) -> GroupElem:
-    """A random element of SL(3,R), exp of a random trace-free matrix.
-
-    Rounding the entries of a float matrix moves its determinant by about
-    eps times its condition number, so once that passes about 1e6 the
-    float exp(a) can miss determinant 1 by more than the 1e-10 that
-    ``GroupElem`` checks, however it is rescaled (about 5% of draws at
-    scale 4).  Such draws are redrawn, up to ``_GROUP_DRAWS`` times;
-    draws that pass are returned as drawn.
-    """
-    for _ in range(_GROUP_DRAWS):
-        a = rng.normal(size=(3, 3)) * scale
-        a -= np.trace(a) / 3.0 * np.eye(3)
-        try:
-            return GroupElem(scipy.linalg.expm(a))
-        except GeometryError:
-            continue
-    raise GeometryError(f"random_group_elem: no draw at scale {scale} passed the determinant check")
-

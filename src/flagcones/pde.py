@@ -9,9 +9,9 @@ with lap the flat five-point Laplacian: periodic on a torus, Dirichlet on
 a disk.  Grid adjacency is written once, in ``_neighbours``, which wraps
 around the grid edges: that is the torus's periodicity, and harmless on
 the disk, whose interior nodes never lie on the edge (only non-interior
-nodes read wrapped values, and every caller discards them).  The
-supported model data are a constant |t|^2 on the torus and a monomial
-t = c z^k on the disk.  Reference solutions: on the torus with
+nodes read wrapped values, and every caller discards them).  The model
+data are a constant |t|^2 on the torus and a monomial t = c z^k on the
+disk.  Reference solutions: on the torus with
 |t|^2 = c^2 the constant u = -(2/3) log c; on the disk with t = 0 the
 radial profile u = log(1 - x^2 - y^2), whose induced metric h1^(-2) has
 curvature -4 under this normalization.
@@ -407,20 +407,6 @@ def beta_field(u: ScalarField, datum: HiggsDatum) -> ScalarField:
     return ScalarField(np.sqrt(datum.t_abs2) * np.exp(1.5 * u.values), u.dom)
 
 
-def max_principle_check(beta: ScalarField) -> dict:
-    """Sup of the ratio field over interior nodes and strictness of the bound."""
-    mask = beta.dom.interior_mask()
-    vals = beta.values[mask]
-    k = int(np.argmax(vals))
-    where = np.argwhere(mask)[k]
-    sup = float(vals[k])
-    return {
-        "sup": sup,
-        "argmax": [int(where[0]), int(where[1])],
-        "strict": bool(sup < 1.0),
-    }
-
-
 def curvature_field(u: ScalarField, dom: DomainSpec) -> ScalarField:
     """Gaussian curvature of the metric e^(-2u) |dz|^2: K = e^(2u) lap u."""
     k = np.exp(2.0 * u.values) * _laplacian(u.values, dom)
@@ -459,44 +445,6 @@ def ratio_identity_residual(u: ScalarField, datum: HiggsDatum, dom: DomainSpec) 
     return float(np.abs(lhs[core] - rhs[core]).max())
 
 
-def slice_dimensions(genus: int) -> tuple[int, int]:
-    """Complex and real dimension of the deformation slice at the given genus."""
-    if genus < 2:
-        raise DomainError("genus must be at least 2")
-    return 2 * genus - 2, 4 * genus - 4
-
-
-@dataclass(frozen=True, eq=False)
-class GaugeParams:
-    """Coefficient tuples (t, delta, q) identifying a slice Higgs field."""
-
-    t: tuple
-    delta: tuple
-    q: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "t", tuple(float(v) for v in np.atleast_1d(self.t)))
-        object.__setattr__(self, "delta", tuple(float(v) for v in np.atleast_1d(self.delta)))
-        object.__setattr__(self, "q", tuple(float(v) for v in np.atleast_1d(self.q)))
-
-
-def gauge_equivalent(p1: GaugeParams, p2: GaugeParams, over_complex: bool = False) -> bool:
-    """Parameter-level gauge equivalence.
-
-    Over the reals the three coefficient tuples must agree exactly; over
-    the complexification t is additionally identified with -t.
-    """
-    if len(p1.t) != len(p2.t) or len(p1.delta) != len(p2.delta) or len(p1.q) != len(p2.q):
-        raise DomainError("gauge_equivalent: coefficient shapes disagree")
-    if p1.delta != p2.delta or p1.q != p2.q:
-        return False
-    if p1.t == p2.t:
-        return True
-    if over_complex and p1.t == tuple(-v for v in p2.t):
-        return True
-    return False
-
-
 def write_field_csv(path, field: ScalarField) -> None:
     """Row-major CSV: header line 'nx,ny', the shape, then one row per line."""
     nx, ny = field.values.shape
@@ -505,16 +453,3 @@ def write_field_csv(path, field: ScalarField) -> None:
         fh.write(f"{nx},{ny}\n")
         for row in field.values:
             fh.write(",".join(map(repr, row.tolist())) + "\n")
-
-
-def read_field_csv(path, dom: DomainSpec) -> ScalarField:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "nx,ny":
-            raise DomainError(f"unexpected CSV header {header!r}")
-        nx, ny = (int(v) for v in fh.readline().split(","))
-        rows = [np.fromstring(line, sep=",") for line in fh if line.strip()]
-    values = np.vstack(rows)
-    if values.shape != (nx, ny):
-        raise DomainError("CSV shape does not match its header")
-    return ScalarField(values, dom)

@@ -44,7 +44,6 @@ from .flags import (
     _act_rows,
     _flag_rows,
     _pullback_rows,
-    pullback_flag,
     thickening_contains,
 )
 
@@ -95,15 +94,6 @@ class PlanePoint:
     @classmethod
     def identity(cls) -> "PlanePoint":
         return cls(1.0, 1.0, 0.0)
-
-    @classmethod
-    def from_spd(cls, x: SpdPoint, tol: float = 1e-9) -> "PlanePoint":
-        m = x.mat
-        scale = max(1.0, float(np.abs(m).max()))
-        off = max(abs(m[0, 1]), abs(m[1, 0]), abs(m[1, 2]), abs(m[2, 1]))
-        if off > tol * scale or abs(m[1, 1] - 1.0) > tol:
-            raise GeometryError("SpdPoint does not lie on the model plane")
-        return cls(float(m[0, 0]), float(m[2, 2]), float(m[0, 2]))
 
     @property
     def mat(self) -> np.ndarray:
@@ -165,17 +155,6 @@ def _sqrt2(m2: np.ndarray) -> np.ndarray:
     return (m2 + np.eye(2)) / math.sqrt(m2[0, 0] + m2[1, 1] + 2.0)
 
 
-def plane_geodesic_point(p: PlanePoint, q: PlanePoint, s: float) -> PlanePoint:
-    """The point at parameter s on the plane geodesic from p (s=0) to q (s=1)."""
-    sp = _sqrt2(p.block2())
-    spi = np.linalg.inv(sp)
-    mid = spi @ q.block2() @ spi
-    w, ev = np.linalg.eigh(0.5 * (mid + mid.T))
-    m = (ev * np.power(w, s)) @ ev.T
-    out = sp @ m @ sp
-    return PlanePoint(float(out[0, 0]), float(out[1, 1]), float(out[0, 1]))
-
-
 def _wrap_angle(phi):
     """Wrap to (-pi, pi], elementwise."""
     out = np.fmod(phi + math.pi, 2 * math.pi)
@@ -188,8 +167,7 @@ class BoundaryPoint:
 
     The flag at angle phi is ([cos phi : 0 : sin phi], [-sin phi : 0 : cos phi]);
     phi and phi + pi give the same flag, so boundary points are parametrized
-    by phi mod pi.  ``direction_angle`` recovers the direction (at the
-    identity) of the geodesic rays converging to this point.
+    by phi mod pi.
     """
 
     phi: float
@@ -203,11 +181,6 @@ class BoundaryPoint:
     def flag(self) -> Flag:
         c, s = math.cos(self.phi), math.sin(self.phi)
         return Flag(ProjectivePoint([c, 0.0, s]), ProjectiveCovector([-s, 0.0, c]))
-
-    @property
-    def direction_angle(self) -> float:
-        """Direction angle (at the identity) of rays converging to this point."""
-        return float(_wrap_angle(2.0 * self.phi - math.pi))
 
     def same_as(self, other: "BoundaryPoint", tol: float = 1e-9) -> bool:
         d = math.fmod(self.phi - other.phi, math.pi)
@@ -257,27 +230,20 @@ def conic_eval(x) -> float:
     return float(_conic_rows(p.coords[None])[0])
 
 
-dual_conic_eval = conic_eval
-
 
 def criticality_residual(f: Flag, x: PlanePoint) -> float:
     """Norm of the first-order conditions for x to minimize f's horofunction.
 
-    The flag is transvected so that x becomes the identity, where the two
-    conditions compare the axis and off-diagonal moments of the line and
-    plane representatives.  Zero exactly on the fiber over x.
+    The flag is pulled back by the square-root frame of x, so that x
+    becomes the identity, where the two conditions are the gradient of
+    ``_tangent_grad_hess`` (the criticality defects the projection drives
+    to zero).  Zero exactly on the fiber over x.
     """
-    if x.same_as(PlanePoint.identity(), tol=0.0):
-        g = None
-        fx = f
-    else:
-        g = plane_sqrt_frame(x)
-        fx = pullback_flag(g, f)
-    xv = fx.line.coords
-    yv = fx.plane.coords
-    r1 = (yv[0] ** 2 - yv[2] ** 2) - (xv[0] ** 2 - xv[2] ** 2)
-    r2 = 2.0 * yv[0] * yv[2] - 2.0 * xv[0] * xv[2]
-    return float(math.hypot(r1, r2))
+    lines, planes = f.line.coords[None], f.plane.coords[None]
+    if not x.same_as(PlanePoint.identity(), tol=0.0):
+        lines, planes = _pullback_rows(plane_sqrt_frame(x), lines, planes)
+    grad, _ = _tangent_grad_hess(lines.T, planes.T)
+    return float(math.hypot(grad[0, 0], grad[1, 0]))
 
 
 def boundary_fiber_contains(a: BoundaryPoint, f: Flag) -> bool:

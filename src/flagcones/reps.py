@@ -169,15 +169,6 @@ def iota_irr(a2) -> GroupElem:
     )
 
 
-@dataclass(frozen=True)
-class SurfaceGroupPresentation:
-    """Genus-2 presentation: generators a1, b1, a2, b2 with one relation."""
-
-    genus: int = 2
-    generators: tuple = GENERATOR_NAMES
-    relation: tuple = RELATION_WORD
-
-
 def reduce_word(letters) -> tuple:
     """Freely reduce a letter sequence (letters are +-1..+-4)."""
     out = []
@@ -194,17 +185,6 @@ def reduce_word(letters) -> tuple:
 
 def inverse_word(word) -> tuple:
     return tuple(-l for l in reversed(word))
-
-
-def is_cyclically_reduced(word) -> bool:
-    return len(word) == 0 or word[0] != -word[-1]
-
-
-def cyclic_reduce(word) -> tuple:
-    w = list(word)
-    while len(w) >= 2 and w[0] == -w[-1]:
-        w = w[1:-1]
-    return tuple(w)
 
 
 def _letter_indices(word) -> np.ndarray:
@@ -645,6 +625,9 @@ def limit_flag_sample(rep: Representation, word) -> Flag:
 #: Offset bounds of one sampled word of each length 1..6, as ``_sample_words`` passes them.
 _CONIC_WORD_BOUNDS = {length: np.r_[8, np.full(length - 1, 7)] for length in range(1, 7)}
 
+#: ``conic_position_check`` gives up once its rejected draws exceed this many per sample.
+CONIC_REJECTS_PER_SAMPLE = 100
+
 
 def conic_position_check(rep: Representation, n_samples: int = 1000, seed: int = 0) -> dict:
     """Position of sampled limit flags relative to the fibration conic.
@@ -654,7 +637,9 @@ def conic_position_check(rep: Representation, n_samples: int = 1000, seed: int =
     draws it; words whose images have no attracting flag are skipped, so
     the first n_samples hyperbolic words count, and the skipped draws are
     counted by cause (``rejected_not_separated``: eigenvalue moduli not
-    separated; ``rejected_not_real``: dominant eigendata not real).
+    separated; ``rejected_not_real``: dominant eigendata not real).  Once
+    the rejected draws pass ``CONIC_REJECTS_PER_SAMPLE`` times n_samples
+    it raises ``NonHyperbolicError`` with both counts.
     Images are conjugated into the model-plane coordinates (middle
     coordinate fixed) before the conic evaluations.  Lines are expected outside the conic, planes are
     expected to meet its interior; minimal margins are reported.
@@ -691,6 +676,12 @@ def conic_position_check(rep: Representation, n_samples: int = 1000, seed: int =
         line_margins.append(_conic_rows(rows.lines[ok]))
         plane_margins.append(_conic_rows(rows.planes[ok]))
         missing -= int(ok.sum())
+        if missing and rejected.sum() > CONIC_REJECTS_PER_SAMPLE * n_samples:
+            raise NonHyperbolicError(
+                f"conic_position_check: {n_samples - missing} of {n_samples} samples hyperbolic after "
+                f"rejected_not_separated={int(rejected[NOT_SEPARATED])}, "
+                f"rejected_not_real={int(rejected[NOT_REAL])} draws"
+            )
     cv = np.concatenate(line_margins)
     dv = np.concatenate(plane_margins)
     return {

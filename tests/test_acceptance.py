@@ -32,8 +32,6 @@ from flagcones.flags import (
     act_on_flag,
     act_on_point,
     busemann,
-    random_flag,
-    random_group_elem,
 )
 from flagcones.pde import DomainSpec, HiggsDatum, beta_field, curvature_field, solve
 from flagcones.plane import (
@@ -50,6 +48,7 @@ from flagcones.reps import (
     octagon_fuchsian,
     reducible_representation,
 )
+from support import random_flag, random_group_elem
 
 
 def _report(name, detail):

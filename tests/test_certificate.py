@@ -14,7 +14,6 @@ from flagcones.certificate import (
     _oracle_alphas_batch,
     _projector_mats,
     alpha_closed_forms,
-    alpha_coefficient,
     certificate_margin,
     commutator_fields,
     default_grid,
@@ -29,6 +28,7 @@ from flagcones.certificate import (
 )
 from flagcones.flags import FRAME_TO_COMPLEX, GeometryError, SpdPoint, busemann
 from flagcones.plane import PlanePoint, fiber_over_interior
+from support import alpha_coefficient
 
 
 def sample_params(rng, n, beta_max=0.95, d_max=5.0):

@@ -16,16 +16,13 @@ from flagcones.flags import (
     act_on_point,
     busemann,
     distance,
-    frame_change_complex_to_real,
-    frame_change_real_to_complex,
     gap_vector,
     geodesic,
     is_transverse,
     pullback_flag,
-    random_flag,
-    random_group_elem,
     thickening_contains,
 )
+from support import frame_change_complex_to_real, frame_change_real_to_complex, random_flag, random_group_elem
 
 
 def std_flag(x, y):

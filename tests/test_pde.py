@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from flagcones.pde import (
     DomainError,
     DomainSpec,
-    GaugeParams,
     HiggsDatum,
     ScalarField,
     SolveError,
@@ -19,15 +18,12 @@ from flagcones.pde import (
     _laplacian,
     beta_field,
     curvature_field,
-    gauge_equivalent,
-    max_principle_check,
     ratio_identity_residual,
-    read_field_csv,
     residual,
-    slice_dimensions,
     solve,
     write_field_csv,
 )
+from support import read_field_csv
 
 
 def test_domain_validation():
@@ -136,12 +132,6 @@ def test_beta_field_examples():
         assert np.abs(b.values - 1.0).max() <= 1e-8
 
 
-def test_max_principle_check_zero_field():
-    dom = DomainSpec("torus", 32)
-    report = max_principle_check(ScalarField(np.zeros(dom.shape), dom))
-    assert report["strict"] and report["sup"] == 0.0
-
-
 def test_curvature_flat_at_unit_constant():
     # c = 1 on the torus: the two source terms cancel, curvature reported
     # numerically as zero
@@ -153,19 +143,12 @@ def test_curvature_flat_at_unit_constant():
 
 def test_max_principle_check():
     dom = DomainSpec("torus", 32)
-    u, _ = solve(dom, HiggsDatum.constant(1.0, dom))
-    beta = beta_field(u, HiggsDatum.constant(1.0, dom))
-    report = max_principle_check(beta)
-    assert not report["strict"]
-    assert report["sup"] == pytest.approx(1.0, abs=1e-8)
+    _, rep = solve(dom, HiggsDatum.constant(1.0, dom))
+    assert rep.beta_sup == pytest.approx(1.0, abs=1e-8)
 
     dom = DomainSpec("disk", 64, radius=0.8)
-    datum = HiggsDatum.monomial(1.0, 1, dom)
-    u, rep = solve(dom, datum)
-    report = max_principle_check(beta_field(u, datum))
-    assert report["strict"]
-    assert report["sup"] < 1.0
-    assert rep.beta_sup == pytest.approx(report["sup"])
+    _, rep = solve(dom, HiggsDatum.monomial(1.0, 1, dom))
+    assert rep.beta_sup < 1.0
 
 
 def test_curvature_reference_value():
@@ -197,23 +180,6 @@ def test_ratio_identity_diagnostic_shrinks(k):
         vals.append(ratio_identity_residual(u, datum, dom))
     assert vals[1] <= 0.5 * vals[0]
     assert vals[1] <= 0.05
-
-
-def test_slice_dimensions():
-    assert slice_dimensions(2) == (2, 4)
-    assert slice_dimensions(3) == (4, 8)
-    with pytest.raises(DomainError):
-        slice_dimensions(1)
-
-
-def test_gauge_equivalent():
-    p = GaugeParams((0.3, -1.0), (0.0,), (0.0,))
-    q = GaugeParams((-0.3, 1.0), (0.0,), (0.0,))
-    assert gauge_equivalent(p, p)
-    assert not gauge_equivalent(p, q)
-    assert gauge_equivalent(p, q, over_complex=True)
-    r = GaugeParams((0.3, -1.0), (0.5,), (0.0,))
-    assert not gauge_equivalent(p, r, over_complex=True)
 
 
 def test_field_csv_round_trip(tmp_path):

@@ -9,8 +9,7 @@ from flagcones.flags import (
     ProjectiveCovector,
     ProjectivePoint,
     act_on_flag,
-    random_flag,
-    random_group_elem,
+    pullback_flag,
 )
 from flagcones import plane
 from flagcones.plane import (
@@ -22,12 +21,11 @@ from flagcones.plane import (
     boundary_fiber_contains,
     conic_eval,
     criticality_residual,
-    dual_conic_eval,
     fiber_over_interior,
-    plane_geodesic_point,
     plane_sqrt_frame,
     project,
 )
+from support import plane_geodesic_point, random_flag, random_group_elem
 
 
 def std_flag(x, y):
@@ -62,7 +60,7 @@ def test_fiber_lines_on_conic_planes_tangent():
         for theta in np.linspace(0, 2 * math.pi, 64, endpoint=False):
             f = fiber_over_interior(x, theta)
             assert abs(conic_eval(f.line)) <= 1e-14
-            assert abs(dual_conic_eval(f.plane)) <= 1e-14
+            assert abs(conic_eval(f.plane)) <= 1e-14
 
 
 def test_criticality_residual_examples():
@@ -287,6 +285,27 @@ def test_batched_projection_agrees_with_scalar_newton(flags):
             ref = PlanePoint(*value)
             assert abs(PlanePoint(a, b, c).sigma - ref.sigma) <= 1e-12
             assert np.abs(rows.point[:, i] - np.array(value)).max() <= 1e-11 * (ref.a + ref.b)
+
+
+@settings(deadline=None, max_examples=200)
+@given(seed=st.integers(0, 2**32 - 1), r=st.floats(0.0, 6.0), angle=ANGLES)
+def test_criticality_residual_is_the_projection_gradient(seed, r, angle):
+    # the residual read off the projection kernel's gradient equals the
+    # scalar formula it replaced, at the identity and out to distance 6
+    f = random_flag(np.random.default_rng(seed))
+    x = PlanePoint.identity() if r == 0.0 else _exp_point(r, angle)
+    ref = _reference_criticality_residual(f, x)
+    assert abs(criticality_residual(f, x) - ref) <= 1e-14 * max(1.0, ref)
+
+
+def _reference_criticality_residual(f, x):
+    """The scalar criticality formula that the gradient view replaced."""
+    if not x.same_as(PlanePoint.identity(), tol=0.0):
+        f = pullback_flag(plane_sqrt_frame(x), f)
+    xv, yv = f.line.coords, f.plane.coords
+    r1 = (yv[0] ** 2 - yv[2] ** 2) - (xv[0] ** 2 - xv[2] ** 2)
+    r2 = 2.0 * yv[0] * yv[2] - 2.0 * xv[0] * xv[2]
+    return math.hypot(r1, r2)
 
 
 def _reference_fiber_flag(x, theta):

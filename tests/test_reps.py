@@ -6,33 +6,32 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flagcones.flags import Flag, GeometryError, ProjectiveCovector, ProjectivePoint, gap_vector, random_group_elem
-from flagcones.plane import conic_eval, dual_conic_eval
+from flagcones.flags import Flag, GeometryError, ProjectiveCovector, ProjectivePoint, gap_vector
+from flagcones.plane import conic_eval
 from flagcones.reps import (
+    CONIC_REJECTS_PER_SAMPLE,
     GENERATOR_NAMES,
     HYPERBOLIC,
     NOT_SEPARATED,
     NonHyperbolicError,
     OCTAGON_HALF_LENGTH,
     RELATION_WORD,
-    SurfaceGroupPresentation,
     _attracting_rows,
     attracting_flag,
     barbot_twist,
     conic_position_check,
-    cyclic_reduce,
     flow_nesting_certify,
     gap_scan,
     iota_irr,
     iota_red,
     irreducible_representation,
-    is_cyclically_reduced,
     limit_flag_sample,
     octagon_fuchsian,
     random_reduced_word,
     reduce_word,
     reducible_representation,
 )
+from support import cyclic_reduce, is_cyclically_reduced, random_group_elem
 
 FUCHSIAN = octagon_fuchsian()
 RED = reducible_representation(FUCHSIAN)
@@ -73,7 +72,7 @@ def _reference_conic_position_check(rep, n_samples, seed):
             continue
         collected += 1
         cv = conic_eval(f.line)
-        dv = dual_conic_eval(f.plane)
+        dv = conic_eval(f.plane)
         lines_outside += cv > 0
         planes_meet += dv > 0
         min_line_margin = min(min_line_margin, cv)
@@ -104,10 +103,7 @@ def test_octagon_relation_residual():
 
 
 def test_presentation_shape():
-    pres = SurfaceGroupPresentation()
-    assert pres.genus == 2
-    assert pres.generators == GENERATOR_NAMES
-    assert reduce_word(pres.relation) == RELATION_WORD
+    assert reduce_word(RELATION_WORD) == RELATION_WORD
 
 
 def test_iota_red_examples():
@@ -335,6 +331,16 @@ def test_conic_position_check_counts_rejected_draws():
     # every reduced word up to length 6 is hyperbolic for the octagon group
     report = conic_position_check(RED, n_samples=300, seed=0)
     assert report["rejected_not_separated"] == report["rejected_not_real"] == 0
+
+
+def test_conic_position_check_gives_up_without_hyperbolic_words():
+    # no word of the trivial representation has an attracting flag: every
+    # round of 5 draws is rejected, and the check raises after the round
+    # that takes the rejections past the cap instead of drawing forever
+    rep = reducible_representation((np.eye(2),) * 4)
+    rejected = 5 * (CONIC_REJECTS_PER_SAMPLE + 1)
+    with pytest.raises(NonHyperbolicError, match=f"rejected_not_separated={rejected}, rejected_not_real=0"):
+        conic_position_check(rep, n_samples=5)
 
 
 def _matrix(kind, seed, scale):
