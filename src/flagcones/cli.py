@@ -1,8 +1,9 @@
 """Command-line front end: sweeps, solves, scans and certifications.
 
 Exit codes: 0 success, 1 certificate or solve failure or a numerical
-failure (``plane.ProjectionError``, ``flags.NumericalDomainError``, reported
-in one line on standard error), 2 usage error.
+failure (``plane.ProjectionError``: a flag with no interior projection in
+float; ``flags.NumericalDomainError``), reported in one line on standard
+error, 2 usage error, such as a ``--point`` that ``PlanePoint`` rejects.
 Reports are JSON with sorted keys, byte-identical for identical seeds and
 flags except the certificate report's ``runtime_s`` (the sweep's wall
 time); bulk fields and scans are CSV.
@@ -157,10 +158,7 @@ def _cmd_fiber(args, parser) -> int:
     if args.point is not None:
         if len(args.point) != 3:
             parser.error("--point takes exactly A,B,C")
-        a, b, c = args.point
-        if abs(a * b - c * c - 1.0) > 1e-10 or a <= 0:
-            parser.error("--point must satisfy ab - c^2 = 1 with a > 0")
-        point = PlanePoint(a, b, c)
+        point = PlanePoint(*args.point)
     else:
         point = PlanePoint.identity()
 

@@ -46,7 +46,6 @@ from .flags import (
 )
 from .plane import (
     BoundaryPoint,
-    _check_plane_points,
     _project_rows,
     _sigma,
     _wrap_angle,
@@ -134,16 +133,14 @@ def _positions(cone: Multicone, lines, planes) -> tuple[np.ndarray, np.ndarray]:
     """Canonical positions of flag rows: (boundary mask, value).
 
     The value is sigma for rows projecting into the interior and the
-    boundary direction angle for the others.  Raises the projection error
-    of the first row whose Newton minimization fails.
+    boundary direction angle for the others.  Raises ``ProjectionError``
+    for a row whose horofunction has no interior minimum in float.
     """
     rows = _project_rows(*_pullback_rows(cone.total, lines, planes))
-    rows.raise_first_failure()
     boundary = rows.boundary
     value = np.empty(boundary.size)
     value[boundary] = _wrap_angle(2.0 * rows.phi[boundary] - math.pi)
-    a, b, c = rows.point[:, ~boundary]
-    _check_plane_points(a, b, c)
+    a, b, _ = rows.point[:, ~boundary]
     value[~boundary] = _sigma(a, b)
     return boundary, value
 

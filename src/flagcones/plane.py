@@ -14,12 +14,11 @@ and ``_conic_rows``), boundary fibers are thickenings
 (``boundary_fiber_contains``).
 
 Projection is batched: ``_project_rows`` takes N flags as (N, 3) line and
-covector rows and runs one masked Newton over them, returning per-row
-arrays with a status code in place of an exception; ``project`` is its
-one-row case.  Inside the kernel the rows are held as (3, N) component
-arrays, and every operation acts on each row alone.  The kernel does not
-validate its input: rows come from ``Flag`` objects or from the row
-kernels of ``flags`` (``_pullback_rows`` for a frame), which check
+covector rows and returns per-row arrays; ``project`` is its one-row case.
+The interior point is the exact minimizer, in closed form (derived in
+``_project_rows``).  Every operation acts on each row alone.  The kernel
+does not validate its input: rows come from ``Flag`` objects or from the
+row kernels of ``flags`` (``_pullback_rows`` for a frame), which check
 finiteness, unit normalization and incidence.
 
 Pure operations on immutable values; safe for concurrent use.
@@ -53,12 +52,7 @@ AXIS_DIRECTION.setflags(write=False)
 
 
 class ProjectionError(RuntimeError):
-    """Newton minimization failed to converge (near-boundary input)."""
-
-    def __init__(self, message, iterations=None, grad_norm=None):
-        super().__init__(message)
-        self.iterations = iterations
-        self.grad_norm = grad_norm
+    """A flag off the boundary fibers whose horofunction has no interior minimum in float."""
 
 
 def embed_sl2(m2) -> np.ndarray:
@@ -236,8 +230,8 @@ def criticality_residual(f: Flag, x: PlanePoint) -> float:
 
     The flag is pulled back by the square-root frame of x, so that x
     becomes the identity, where the two conditions are the gradient of
-    ``_tangent_grad_hess`` (the criticality defects the projection drives
-    to zero).  Zero exactly on the fiber over x.
+    ``_tangent_grad_hess`` (the criticality defects, which vanish at the
+    projection).  Zero exactly on the fiber over x.
     """
     lines, planes = f.line.coords[None], f.plane.coords[None]
     if not x.same_as(PlanePoint.identity(), tol=0.0):
@@ -301,7 +295,11 @@ def _tangent_grad_hess(x: np.ndarray, y: np.ndarray):
 
 
 def _move_value(x: np.ndarray, y: np.ndarray, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
-    """Horofunction changes when moving each base by exp(s1 V_axis + s2 V_orth)."""
+    """Horofunction changes when moving each base by exp(s1 V_axis + s2 V_orth).
+
+    No kernel calls it; it is kept because ``perfbench/tracing.py`` looks
+    it up, with ``_tangent_grad_hess``, by module attribute.
+    """
     r = np.hypot(s1, s2)
     rs = np.clip(r, 1e-150, 700.0)  # the branches below replace the clipped rows
     ch = np.cosh(rs)
@@ -318,69 +316,8 @@ def _move_value(x: np.ndarray, y: np.ndarray, s1: np.ndarray, s2: np.ndarray) ->
     return np.where(finite, value, np.inf)
 
 
-def _half_step(s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
-    """exp of half the tangent matrices [[s1, s2], [s2, -s1]]: entries (h00, h01, h11), (3, M)."""
-    r = 0.5 * np.hypot(s1, s2)
-    rs = np.maximum(r, 1e-150)
-    ch = np.cosh(r)
-    shr = np.where(r > 1e-150, 0.5 * np.sinh(rs) / rs, 0.5)
-    return np.array([ch + shr * s1, shr * s2, ch - shr * s1])
-
-
-def _descent_steps(grad: np.ndarray, hess: np.ndarray):
-    """Newton steps where the Hessian is positive definite, else steepest descent.
-
-    Returns the steps (2, M), capped at length 8 (a hyperbolic trust
-    region: moves beyond a few units are never needed in one step and
-    overflow the move evaluation), and their slopes grad . step < 0.
-    """
-    g0, g1 = grad
-    h00, h01, h11 = hess
-    det = h00 * h11 - h01 * h01
-    newton = (h00 > 0) & (det > 0)
-    det = np.where(newton, det, 1.0)
-    s0 = np.where(newton, (h01 * g1 - h11 * g0) / det, -g0)
-    s1 = np.where(newton, (h01 * g0 - h00 * g1) / det, -g1)
-    slope = g0 * s0 + g1 * s1
-    uphill = slope >= 0
-    s0 = np.where(uphill, -g0, s0)
-    s1 = np.where(uphill, -g1, s1)
-    slope = np.where(uphill, -(g0 * g0 + g1 * g1), slope)
-    norm = np.hypot(s0, s1)
-    scale = 8.0 / np.maximum(norm, 8.0)
-    return np.array([s0 * scale, s1 * scale]), slope * scale
-
-
-def _armijo_lengths(x, y, step, slope, gnorm) -> np.ndarray:
-    """Step lengths by Armijo halving, each row on its own; nan where 60 halvings fail.
-
-    Rows with gradient <= 1e-6 are in the quadratic basin, where the
-    sufficient-decrease test is below float resolution: they take the
-    undamped Newton step.
-    """
-    t = np.ones(gnorm.size)
-    pending = np.flatnonzero(gnorm > 1e-6)
-    for _ in range(60):
-        if pending.size == 0:
-            return t
-        tp = t[pending]
-        value = _move_value(x[:, pending], y[:, pending], tp * step[0, pending], tp * step[1, pending])
-        pending = pending[~(value <= 1e-4 * tp * slope[pending])]
-        t[pending] *= 0.5
-    t[pending] = np.nan
-    return t
-
-
-#: Newton gradient tolerance and boundary-detection tolerance of ``_project_rows``.
-GRAD_TOL = 1e-10
+#: Boundary-detection tolerance of ``_project_rows``.
 BOUNDARY_TOL = 1e-10
-
-#: Row status codes of ``_project_rows``; failures carry ``ProjectionError`` messages.
-CONVERGED, LINE_SEARCH_FAILED, NOT_CONVERGED = 0, 1, 2
-_FAILURES = {
-    LINE_SEARCH_FAILED: "line search failed (near-boundary flag?)",
-    NOT_CONVERGED: "no convergence within max iterations (near-boundary flag?)",
-}
 
 
 class ProjectedRows(NamedTuple):
@@ -388,111 +325,74 @@ class ProjectedRows(NamedTuple):
 
     ``boundary`` marks rows projecting to the visual boundary, at angle
     ``phi`` in [0, 2 pi) (nan elsewhere); ``point`` holds the (a, b, c)
-    columns of the interior plane points, shape (3, N) (nan on boundary
-    and failed rows).  ``iterations`` and ``grad_norm`` are each row's
-    Newton iterations and last gradient norm; ``status`` is CONVERGED or
-    the row's failure code.
+    columns of the interior plane points, shape (3, N), nan on boundary rows.
     """
 
     boundary: np.ndarray
     phi: np.ndarray
     point: np.ndarray
-    iterations: np.ndarray
-    grad_norm: np.ndarray
-    status: np.ndarray
-
-    def raise_first_failure(self) -> None:
-        """Raise ``ProjectionError`` for the first failed row, if any."""
-        failed = np.flatnonzero(self.status != CONVERGED)
-        if failed.size:
-            i = failed[0]
-            raise ProjectionError(
-                _FAILURES[int(self.status[i])],
-                iterations=int(self.iterations[i]),
-                grad_norm=float(self.grad_norm[i]),
-            )
 
 
-def _project_rows(lines: np.ndarray, planes: np.ndarray, max_iter: int = 100) -> ProjectedRows:
+def _project_rows(lines: np.ndarray, planes: np.ndarray) -> ProjectedRows:
     """Project N validated flag rows onto the closed model plane.
 
     Boundary fibers are detected exactly by thickening membership against
     the two candidate boundary flags determined by the line and the plane.
-    The other rows minimize their horofunction over the plane by a damped
-    Newton method that recenters at every iterate (the step is taken in
-    the tangent plane at the current point, where the first-order
-    conditions are the criticality defects and perfectly scaled), so the
-    gradient tolerance is meaningful uniformly far out in the plane.
-    Newton runs over the active rows only: converged and failed rows
-    freeze.  Every operation acts on each row alone, so a row's result
-    does not depend on the rest of the batch.
+    Every other row has x1 y1 != 0 (x the line, y the covector) and goes to
+    the minimizer of its horofunction:
+
+        s = |x1 y1| |x0 y0 + x2 y2|,
+        a = (x1^2 y0^2 + y1^2 x2^2) / s,  b = (x1^2 y2^2 + y1^2 x0^2) / s,
+        c = (x1^2 y0 y2 - y1^2 x0 x2) / s,
+
+    with ab - c^2 = 1.  On the plane point P (its outer block) the
+    horofunction is log(u^T P u + x1^2) + log(v^T P v + y1^2) up to a
+    constant, with u = (x0, x2) and v = (y2, -y0).  Each quadratic is the
+    exponential of a Busemann function and grows away from the geodesic
+    joining the boundary points u and v, so the minimum lies on that
+    geodesic, where (u^T P u)(v^T P v) = d^2 with d = x0 y0 + x2 y2.  With
+    p = u^T P u, log(p + x1^2) + log(d^2 / p + y1^2) is least at
+    p = |d x1 / y1|, which is the point above.
+
+    Raises ``ProjectionError`` when a row's closed form is not finite: s
+    rounds to 0 when u and v are parallel in float, and then the infimum
+    lies on the boundary.  Every operation acts on each row alone, so a
+    row's result does not depend on the rest of the batch.
     """
     x = np.array(np.asarray(lines, dtype=float).T, order="C")  # (3, N)
     y = np.array(np.asarray(planes, dtype=float).T, order="C")
-    n = x.shape[1]
     boundary, phi = _detect_boundary(x, y, BOUNDARY_TOL)
-    status = np.where(boundary, CONVERGED, NOT_CONVERGED)
-    iterations = np.where(boundary, 0, max_iter)
-    grad_norm = np.zeros(n)
-    point = np.full((3, n), np.nan)
-
-    # per active row: its index, line, covector and accumulated transvection
-    # C = (c00, c01, c10, c11), the current point being C C^T
-    rows = np.flatnonzero(~boundary)
-    x, y = x[:, rows], y[:, rows]
-    carrier = np.repeat(np.array([[1.0], [0.0], [0.0], [1.0]]), rows.size, axis=1)
-    for it in range(max_iter):
-        if rows.size == 0:
-            break
-        grad, hess = _tangent_grad_hess(x, y)
-        gnorm = np.maximum(np.abs(grad[0]), np.abs(grad[1]))
-        grad_norm[rows] = gnorm
-        done = gnorm <= GRAD_TOL
-        if done.any():
-            c00, c01, c10, c11 = carrier[:, done]
-            point[:, rows[done]] = (c00 * c00 + c01 * c01, c10 * c10 + c11 * c11, c00 * c10 + c01 * c11)
-            status[rows[done]] = CONVERGED
-            iterations[rows[done]] = it
-            go = ~done
-            rows, x, y, carrier, grad, hess, gnorm = (
-                rows[go], x[:, go], y[:, go], carrier[:, go], grad[:, go], hess[:, go], gnorm[go]
-            )
-        step, slope = _descent_steps(grad, hess)
-        t = _armijo_lengths(x, y, step, slope, gnorm)
-        failed = np.isnan(t)
-        if failed.any():
-            status[rows[failed]] = LINE_SEARCH_FAILED
-            iterations[rows[failed]] = it
-            go = ~failed
-            rows, x, y, carrier, step, t = rows[go], x[:, go], y[:, go], carrier[:, go], step[:, go], t[go]
-
-        h00, h01, h11 = _half_step(t * step[0], t * step[1])
-        c00, c01, c10, c11 = carrier
-        carrier = np.array([c00 * h00 + c01 * h01, c00 * h01 + c01 * h11, c10 * h00 + c11 * h01, c10 * h01 + c11 * h11])
-        # pull the flags back to the new base points (outer coordinates move,
-        # the middle one is fixed; the inverse half step swaps h00 and h11
-        # and negates h01); renormalize for conditioning
-        x = np.array([h00 * x[0] + h01 * x[2], x[1], h01 * x[0] + h11 * x[2]])
-        y = np.array([h11 * y[0] - h01 * y[2], y[1], h00 * y[2] - h01 * y[0]])
-        x /= np.sqrt(x[0] ** 2 + x[1] ** 2 + x[2] ** 2)
-        y /= np.sqrt(y[0] ** 2 + y[1] ** 2 + y[2] ** 2)
-    return ProjectedRows(boundary, phi, point, iterations, grad_norm, status)
+    interior = np.flatnonzero(~boundary)
+    (x0, x1, x2), (y0, y1, y2) = x[:, interior], y[:, interior]
+    xx, yy = x1 * x1, y1 * y1
+    s = np.abs(x1 * y1) * np.abs(x0 * y0 + x2 * y2)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        abc = np.array([xx * y0 * y0 + yy * x2 * x2, xx * y2 * y2 + yy * x0 * x0, xx * y0 * y2 - yy * x0 * x2]) / s
+    failed = ~np.isfinite(abc).all(axis=0)
+    if failed.any():
+        raise ProjectionError(
+            f"flag row {interior[failed][0]} has no interior projection: the outer parts of "
+            "its line and covector are parallel in float, so its horofunction is least on the boundary"
+        )
+    point = np.full((3, boundary.size), np.nan)
+    point[:, interior] = abc
+    return ProjectedRows(boundary, phi, point)
 
 
-def project(f: Flag, frame: GroupElem | None = None, max_iter: int = 100) -> PlanePoint | BoundaryPoint:
+def project(f: Flag, frame: GroupElem | None = None) -> PlanePoint | BoundaryPoint:
     """Project a flag onto the closed model plane through a frame.
 
     The flag is pulled back by ``frame`` (a group element carrying the
     model plane onto a reducible plane) and sent to the interior
     ``PlanePoint`` minimizing its horofunction or to the ``BoundaryPoint``
     whose thickening contains it.  The one-row case of ``_project_rows``;
-    raises ``ProjectionError`` when the Newton minimization fails.
+    raises ``ProjectionError`` when the horofunction has no interior
+    minimum in float.
     """
     lines, planes = f.line.coords[None], f.plane.coords[None]
     if frame is not None:
         lines, planes = _pullback_rows(frame, lines, planes)
-    rows = _project_rows(lines, planes, max_iter)
-    rows.raise_first_failure()
+    rows = _project_rows(lines, planes)
     if rows.boundary[0]:
         return BoundaryPoint(float(rows.phi[0]))
     a, b, c = rows.point[:, 0]

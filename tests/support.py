@@ -1,12 +1,14 @@
-"""Helpers shared by the test modules: random test data and re-readers of outputs.
+"""Helpers shared by the test modules: random test data, references and re-readers of outputs.
 
 None of this is library code.  The CLI and the benchmark never call it;
 the tests use it to draw flags and group elements, change frames, walk
-plane geodesics, read a field CSV back and reduce words cyclically.
+plane geodesics, project a flag in 60-digit arithmetic, read a field CSV
+back and reduce words cyclically.
 """
 
 from __future__ import annotations
 
+import mpmath
 import numpy as np
 import scipy.linalg
 
@@ -100,6 +102,86 @@ def plane_geodesic_point(p: PlanePoint, q: PlanePoint, s: float) -> PlanePoint:
     m = (ev * np.power(w, s)) @ ev.T
     out = sp @ m @ sp
     return PlanePoint(float(out[0, 0]), float(out[1, 1]), float(out[0, 1]))
+
+
+def reference_projection(line, covector, digits=60, grad_tol=1e-40, max_iter=200):
+    """The interior projection (a, b, c) of one flag, by a damped Newton in ``digits``-digit arithmetic.
+
+    ``line`` and ``covector`` are the float components, taken as exact.
+    Every step is taken in the tangent plane at the current point, where
+    the gradient of the horofunction is (x1 - y1, x2 - y2) in the normalized
+    line and covector squares (the criticality defects): the flag is pulled
+    back to the new point after each step, so far rows converge as near
+    ones do.  A step is Newton's where the Hessian is positive definite and
+    steepest descent elsewhere, capped at length 8, and halved until it
+    decreases the horofunction enough (Armijo) while the gradient exceeds
+    1e-6.  Stops at gradient ``grad_tol`` and returns the entries as mpf.
+    Raises ``AssertionError`` if it does not get there.
+    """
+    with mpmath.workdps(digits):
+        x = [mpmath.mpf(float(v)) for v in line]
+        y = [mpmath.mpf(float(v)) for v in covector]
+        carrier = mpmath.eye(2)
+        for _ in range(max_iter):
+            nx, ny = sum(v * v for v in x), sum(v * v for v in y)
+            x1, x2 = (x[0] ** 2 - x[2] ** 2) / nx, 2 * x[0] * x[2] / nx
+            y1, y2 = (y[0] ** 2 - y[2] ** 2) / ny, 2 * y[0] * y[2] / ny
+            xq, yq = (x[0] ** 2 + x[2] ** 2) / nx, (y[0] ** 2 + y[2] ** 2) / ny
+            g0, g1 = x1 - y1, x2 - y2
+            gnorm = max(abs(g0), abs(g1))
+            if gnorm <= grad_tol:
+                break
+            h00, h01, h11 = xq - x1 * x1 + yq - y1 * y1, -x1 * x2 - y1 * y2, xq - x2 * x2 + yq - y2 * y2
+            det = h00 * h11 - h01 * h01
+            s0, s1 = ((h01 * g1 - h11 * g0) / det, (h01 * g0 - h00 * g1) / det) if h00 > 0 and det > 0 else (-g0, -g1)
+            slope = g0 * s0 + g1 * s1
+            if slope >= 0:
+                s0, s1, slope = -g0, -g1, -(g0 * g0 + g1 * g1)
+            scale = 8 / max(mpmath.hypot(s0, s1), 8)
+            s0, s1, slope = s0 * scale, s1 * scale, slope * scale
+            t = mpmath.mpf(1)
+            if gnorm > 1e-6:
+                for _ in range(60):
+                    if _mp_move_value(x, y, t * s0, t * s1) <= t * slope / 10**4:
+                        break
+                    t /= 2
+                else:
+                    raise AssertionError("reference_projection: line search failed")
+            half = _mp_half_step(t * s0, t * s1)
+            carrier = carrier * half
+            (p00, p01), (_, p11) = half.tolist()
+            x = _mp_unit([p00 * x[0] + p01 * x[2], x[1], p01 * x[0] + p11 * x[2]])
+            y = _mp_unit([p11 * y[0] - p01 * y[2], y[1], p00 * y[2] - p01 * y[0]])
+        else:
+            raise AssertionError(f"reference_projection: gradient {gnorm} after {max_iter} steps")
+        point = carrier * carrier.T
+        return point[0, 0], point[1, 1], point[0, 1]
+
+
+def _mp_unit(v):
+    norm = mpmath.sqrt(sum(c * c for c in v))
+    return [c / norm for c in v]
+
+
+def _mp_move_value(x, y, s0, s1):
+    """Horofunction change when moving the base by exp(s0 V_axis + s1 V_orth), in mpmath."""
+    r = mpmath.hypot(s0, s1)
+    ch = mpmath.cosh(r)
+    shr = mpmath.sinh(r) / r if r else mpmath.mpf(1)
+    up, down, cross = ch + shr * s0, ch - shr * s0, 2 * shr * s1
+    qx = up * x[0] ** 2 + x[1] ** 2 + down * x[2] ** 2 + cross * x[0] * x[2]
+    qy = down * y[0] ** 2 + y[1] ** 2 + up * y[2] ** 2 - cross * y[0] * y[2]
+    if qx <= 0 or qy <= 0:
+        return mpmath.inf
+    return mpmath.log(qx / sum(v * v for v in x)) + mpmath.log(qy / sum(v * v for v in y))
+
+
+def _mp_half_step(s0, s1):
+    """exp of half the tangent matrix [[s0, s1], [s1, -s0]], in mpmath."""
+    r = mpmath.hypot(s0, s1) / 2
+    ch = mpmath.cosh(r)
+    shr = mpmath.sinh(r) / (2 * r) if r else mpmath.mpf(1) / 2
+    return mpmath.matrix([[ch + shr * s0, shr * s1], [shr * s1, ch - shr * s0]])
 
 
 # --- certificate -------------------------------------------------------------

@@ -6,8 +6,9 @@ import pytest
 
 from flagcones import certificate, cli
 from flagcones.cli import main
-from flagcones.flags import NumericalDomainError
-from flagcones.plane import ProjectionError
+from flagcones.cones import DEFAULT_TOL
+from flagcones.flags import Flag, NumericalDomainError, ProjectiveCovector, ProjectivePoint
+from flagcones.plane import ProjectionError, project
 
 
 def run(args):
@@ -197,8 +198,8 @@ def test_certify_flow_deterministic(tmp_path):
 
 #: The certify-flow report at the defaults; the cone frames and the
 #: projections must reproduce it exactly.
-STABLE_FLOW_ESTIMATES = [0.04999949999894733, 0.24999949999762297, 0.4999994999993857, 0.9999994999965292]
-STABLE_FLOW_DISPLACEMENTS = [0.001999999996969537, 0.0010467747774076663, 0.0002841949785801212]
+STABLE_FLOW_ESTIMATES = [0.04999949999999938, 0.24999949999999954, 0.49999949999999954, 0.9999994999999994]
+STABLE_FLOW_DISPLACEMENTS = [0.0019999999999988916, 0.0010467747774173253, 0.0002841949785929998]
 
 
 def test_certify_flow_default_report_is_stable(tmp_path):
@@ -208,6 +209,10 @@ def test_certify_flow_default_report_is_stable(tmp_path):
     nesting = payload["nesting"]
     assert [r["t"] for r in nesting["results"]] == [0.1, 0.5, 1.0, 2.0]
     assert [r["estimate"] for r in nesting["results"]] == STABLE_FLOW_ESTIMATES
+    # a translate by t is nested by t/2, less the half tolerance the
+    # classification keeps
+    for r in nesting["results"]:
+        assert abs(r["estimate"] - (r["t"] - DEFAULT_TOL) / 2) <= 1e-14
     assert [p["min_displacement"] for p in payload["pushforwards"]] == STABLE_FLOW_DISPLACEMENTS
     assert all(p["inside"] == p["samples"] == 512 for p in payload["pushforwards"])
     assert payload["certified"]
@@ -296,9 +301,19 @@ def test_fiber_rejects_non_positive_theta_steps(tmp_path, capsys, steps):
 
 
 def test_fiber_invalid_point(tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        run(["fiber", "--point", "1,0,0", "--out-prefix", str(tmp_path / "x")])
-    assert exc.value.code == 2
+    for point in ("1,0,0", "1,1,0.5", "-1,-1,0", "nan,1,0"):
+        with pytest.raises(SystemExit) as exc:
+            run(["fiber", f"--point={point}", "--out-prefix", str(tmp_path / "x")])
+        assert exc.value.code == 2
+
+
+def test_fiber_accepts_far_points(tmp_path):
+    # distance 8: ab - c^2 - 1 = -1.16e-10, within PlanePoint's relative bound
+    prefix = tmp_path / "far"
+    point = "2863.301070074154,117.65725243020199,580.4197935851105"
+    assert run(["fiber", "--theta-steps", "8", "--point", point, "--out-prefix", str(prefix)]) == 0
+    data = np.loadtxt(tmp_path / "far_fiber.csv", delimiter=",", skiprows=1)
+    assert data.shape == (8, 8) and np.all(np.isfinite(data))
 
 
 @pytest.mark.parametrize("error", [ProjectionError("no convergence"), NumericalDomainError("overflow")])
@@ -312,3 +327,11 @@ def test_numerical_failure_exits_one_with_one_line(tmp_path, capsys, monkeypatch
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert type(error).__name__ in err and str(error) in err
+
+
+def test_projection_without_interior_minimum_exits_one(tmp_path, capsys, monkeypatch):
+    # a flag whose outer parts are parallel in float has no interior projection
+    flag = Flag(ProjectivePoint([0.6, 5e-7, 0.8]), ProjectiveCovector([-0.8, 5e-7, 0.6]))
+    monkeypatch.setattr(cli, "_cmd_certify_flow", lambda args, parser: project(flag))
+    assert run(["certify-flow", "--out", str(tmp_path / "flow.json")]) == 1
+    assert "ProjectionError" in capsys.readouterr().err
