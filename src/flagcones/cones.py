@@ -8,16 +8,16 @@ two endpoint flags; the preimage cylinder is covered by ``boundary_chart``.
 
 Membership classification works in a signed plane coordinate (interior
 projections) and in the visual angle (boundary projections).  Nestedness
-is certified by sampling the boundary of the inner cone, and the
-nestedness amount is bounded from below by bisection over the
-one-parameter contractions fixing the relevant endpoint flag pair.
+is certified by sampling the boundary of the inner cone, and the nestedness
+amount is, in closed form, the largest one-parameter contraction fixing
+the relevant endpoint flag pair that keeps every sample inside.
 
 Flag sets are arrays: N flags are (N, 3) line and covector rows, and a
 set of positions is a pair of arrays (boundary mask, value), the value
 being sigma for interior projections and the direction angle for boundary
-ones.  Chart grids, wedge circles, positions, shifts and classification
-each act on a whole set in one call; ``boundary_chart``, ``_position`` and
-``contains_flag`` are their one-flag cases.  ``Flag`` arguments are
+ones.  Chart grids, wedge circles, positions, classification and nest
+bounds each act on a whole set in one call; ``boundary_chart``,
+``_position`` and ``contains_flag`` are their one-flag cases.  ``Flag`` arguments are
 validated when they are built; sample rows are validated by the row
 kernels of ``flags`` that build and transport them, and membership
 tolerances must be finite and nonnegative.
@@ -37,6 +37,7 @@ from .flags import (
     Flag,
     GeometryError,
     GroupElem,
+    NumericalDomainError,
     ProjectiveCovector,
     ProjectivePoint,
     _act_rows,
@@ -66,7 +67,6 @@ MODEL_SIDE_FLAGS = (BoundaryPoint(3 * math.pi / 4).flag, BoundaryPoint(math.pi /
 _ROT_OFFSET = embedded_rotation(-math.pi / 4)
 
 DEFAULT_TOL = 1e-6
-DEFAULT_LAM_CAP = 64.0
 DEFAULT_LOGLAM_RANGE = (-6.0, 6.0)
 DEFAULT_WEDGE_SAMPLES = 256
 
@@ -219,18 +219,6 @@ def boundary_sample_flags(cone: Multicone, n_grid: int) -> tuple[np.ndarray, np.
     return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
 
 
-def _shift_position(boundary: np.ndarray, value: np.ndarray, lam: float):
-    """Positions after pulling back by the canonical contraction of amount lam.
-
-    The contraction is diagonal in the canonical coordinates, so interior
-    positions shift by -2 lam in sigma and boundary angles move by an
-    explicit circle map.
-    """
-    phi = 0.5 * (value + math.pi)
-    phi2 = np.arctan2(math.exp(-lam) * np.sin(phi), math.exp(lam) * np.cos(phi))
-    return boundary, np.where(boundary, _wrap_angle(2.0 * phi2 - math.pi), value - 2.0 * lam)
-
-
 def _inner_positions(outer: Multicone, inner: Multicone, n_samples: int):
     """Positions, against the outer cone, of the inner cone's boundary samples and interior witness."""
     n_grid = max(4, int(math.isqrt(max(1, n_samples))))
@@ -241,8 +229,8 @@ def _inner_positions(outer: Multicone, inner: Multicone, n_samples: int):
     return _positions(outer, lines, planes)
 
 
-def _all_inside(positions, lam: float, tol: float) -> bool:
-    return bool(np.all(_classify_position(*_shift_position(*positions, lam), tol) == INSIDE))
+def _all_inside(positions, tol: float) -> bool:
+    return bool(np.all(_classify_position(*positions, tol) == INSIDE))
 
 
 def is_nested(
@@ -254,12 +242,12 @@ def is_nested(
     """True iff every sampled boundary flag of the inner cone is strictly inside."""
     _check_tol(tol)
     positions = _inner_positions(cone_outer, cone_inner, n_samples)
-    return _all_inside(positions, 0.0, tol)
+    return _all_inside(positions, tol)
 
 
 @dataclass(frozen=True)
 class NestEstimate:
-    """Witness-based lower bound for the nestedness of a cone pair."""
+    """Witness-based nestedness lower bound of a cone pair: (t - tol)/2 for an axis translate by t."""
 
     lower: float
     fplus: Flag
@@ -277,13 +265,13 @@ def nest_estimate(
 
     The witness flags are the inner cone's forward endpoint flag and the
     outer cone's backward endpoint flag; the contraction fixing them is
-    diagonal in the outer cone's canonical coordinates, so feasibility of
-    each amount is checked by shifting the sampled positions.  Bisection
-    returns a lower bound for the nestedness.
+    diagonal in the outer cone's canonical coordinates and moves each sample
+    monotonically, so the amount has a closed form, (t - tol)/2 for an axis
+    translate by t.  Raises ``NumericalDomainError`` if it fixes every sample.
     """
     _check_tol(tol)
     positions = _inner_positions(cone_outer, cone_inner, n_samples)
-    if not _all_inside(positions, 0.0, tol):
+    if not _all_inside(positions, tol):
         raise GeometryError("nest_estimate: cones are not nested")
     fplus = endpoint_flags(cone_inner)[0]
     fminus = endpoint_flags(cone_outer)[1]
@@ -291,20 +279,22 @@ def nest_estimate(
 
 
 def _nest_lower(positions, tol: float) -> float:
-    """Bisected largest contraction amount keeping nested positions inside, at most DEFAULT_LAM_CAP."""
-    hi = 1.0
-    while hi < DEFAULT_LAM_CAP and _all_inside(positions, hi, tol):
-        hi *= 2.0
-    if hi >= DEFAULT_LAM_CAP:
-        return DEFAULT_LAM_CAP
-    lo = 0.0 if hi == 1.0 else hi / 2.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if _all_inside(positions, mid, tol):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    """Largest contraction amount keeping nested positions inside, clamped at 0.
+
+    Under the contraction of amount lam an interior sigma becomes sigma - 2 lam,
+    inside while lam < (sigma - tol)/2.  A boundary angle a has tan(a/2) scaled by
+    e^(2 lam), and |a| < pi/2 - tol means |tan(a/2)| < T = tan(pi/4 - tol/2), so it
+    stays inside while lam < (log T - log |tan(a/2)|)/2, least at the largest |tan(a/2)|.
+    Angle 0 is fixed (bound +inf); raises ``NumericalDomainError`` if every position is.
+    """
+    boundary, value = positions
+    lower = float(np.min((value[~boundary] - tol) / 2.0, initial=math.inf))
+    half_tan = float(np.max(np.abs(np.tan(value[boundary] / 2.0)), initial=0.0))
+    if half_tan > 0.0:
+        lower = min(lower, 0.5 * (math.log(math.tan(math.pi / 4 - tol / 2)) - math.log(half_tan)))
+    if not math.isfinite(lower):
+        raise NumericalDomainError("nest_estimate: the contraction fixes every sampled position")
+    return max(lower, 0.0)
 
 
 def limit_flag(cones, n_samples: int = 1024, tol: float = DEFAULT_TOL) -> Flag:

@@ -703,7 +703,7 @@ def flow_nesting_certify(
 
     For each time t the cone translated by t along the axis geodesic is
     tested for strict nestedness inside the base cone, and the nestedness
-    amount is estimated (about t/2 for the model translates).
+    amount is estimated ((t - tol)/2, past t of about 47 a ``NumericalDomainError``).
     """
     if n_boundary_samples < 1:
         raise GeometryError("flow_nesting_certify: n_boundary_samples must be at least 1")
@@ -717,7 +717,7 @@ def flow_nesting_certify(
         inner = base.translated_along_axis(t)
         # is_nested then nest_estimate, sharing one set of sampled positions
         positions = _inner_positions(base, inner, n_boundary_samples)
-        nested = _all_inside(positions, 0.0, DEFAULT_TOL)
+        nested = _all_inside(positions, DEFAULT_TOL)
         entry = {"t": t, "nested": bool(nested), "estimate": None}
         if nested:
             entry["estimate"] = _nest_lower(positions, DEFAULT_TOL)

@@ -2,17 +2,20 @@
 
 None of this is library code.  The CLI and the benchmark never call it;
 the tests use it to draw flags and group elements, change frames, walk
-plane geodesics, project a flag in 60-digit arithmetic, read a field CSV
-back and reduce words cyclically.
+plane geodesics, project a flag in 60-digit arithmetic, bisect a nest
+estimate, read a field CSV back and reduce words cyclically.
 """
 
 from __future__ import annotations
+
+import math
 
 import mpmath
 import numpy as np
 import scipy.linalg
 
 from flagcones.certificate import HermitianMat
+from flagcones.cones import INSIDE, _classify_position
 from flagcones.flags import (
     FRAME_TO_COMPLEX,
     _FRAME_TO_REAL,
@@ -23,7 +26,7 @@ from flagcones.flags import (
     ProjectivePoint,
 )
 from flagcones.pde import DomainError, DomainSpec, ScalarField
-from flagcones.plane import PlanePoint, _sqrt2
+from flagcones.plane import PlanePoint, _sqrt2, _wrap_angle
 
 
 # --- flags -------------------------------------------------------------------
@@ -182,6 +185,51 @@ def _mp_half_step(s0, s1):
     ch = mpmath.cosh(r)
     shr = mpmath.sinh(r) / (2 * r) if r else mpmath.mpf(1) / 2
     return mpmath.matrix([[ch + shr * s0, shr * s1], [shr * s1, ch - shr * s0]])
+
+
+# --- cones -------------------------------------------------------------------
+
+#: The bisection's cap on the contraction amount.
+REFERENCE_LAM_CAP = 64.0
+
+
+def reference_shift_position(boundary: np.ndarray, value: np.ndarray, lam: float):
+    """Positions after pulling back by the canonical contraction of amount lam.
+
+    The contraction is diagonal in the canonical coordinates, so interior
+    positions shift by -2 lam in sigma and boundary angles move by an
+    explicit circle map.
+    """
+    phi = 0.5 * (value + math.pi)
+    phi2 = np.arctan2(math.exp(-lam) * np.sin(phi), math.exp(lam) * np.cos(phi))
+    return boundary, np.where(boundary, _wrap_angle(2.0 * phi2 - math.pi), value - 2.0 * lam)
+
+
+def reference_all_inside(positions, lam: float, tol: float) -> bool:
+    """Whether every position stays inside after the contraction of amount lam."""
+    return bool(np.all(_classify_position(*reference_shift_position(*positions, lam), tol) == INSIDE))
+
+
+def reference_nest_lower(positions, tol: float) -> float:
+    """Bisected largest contraction amount keeping nested positions inside, at most REFERENCE_LAM_CAP.
+
+    Doubles from 1 to bracket the amount, then bisects 60 times.  The
+    shift rounds an angle 0 to fl(pi/2), so the result never exceeds
+    about 18.666 however far apart the cones are.
+    """
+    hi = 1.0
+    while hi < REFERENCE_LAM_CAP and reference_all_inside(positions, hi, tol):
+        hi *= 2.0
+    if hi >= REFERENCE_LAM_CAP:
+        return REFERENCE_LAM_CAP
+    lo = 0.0 if hi == 1.0 else hi / 2.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if reference_all_inside(positions, mid, tol):
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 # --- certificate -------------------------------------------------------------

@@ -198,7 +198,7 @@ def test_certify_flow_deterministic(tmp_path):
 
 #: The certify-flow report at the defaults; the cone frames and the
 #: projections must reproduce it exactly.
-STABLE_FLOW_ESTIMATES = [0.04999949999999938, 0.24999949999999954, 0.49999949999999954, 0.9999994999999994]
+STABLE_FLOW_ESTIMATES = [0.04999949999999938, 0.24999949999999957, 0.49999949999999954, 0.9999994999999996]
 STABLE_FLOW_DISPLACEMENTS = [0.0019999999999988916, 0.0010467747774173253, 0.0002841949785929998]
 
 
@@ -216,6 +216,15 @@ def test_certify_flow_default_report_is_stable(tmp_path):
     assert [p["min_displacement"] for p in payload["pushforwards"]] == STABLE_FLOW_DISPLACEMENTS
     assert all(p["inside"] == p["samples"] == 512 for p in payload["pushforwards"])
     assert payload["certified"]
+
+
+def test_certify_flow_past_resolved_times_exits_one(tmp_path, capsys):
+    # t = 40 is resolved; at t = 48 the contraction fixes every sample in float
+    out = tmp_path / "flow.json"
+    assert run(["certify-flow", "--times", "40,48", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "NumericalDomainError" in err
+    assert not out.exists()
 
 
 def test_certify_flow_zero_step_usage_error(tmp_path):

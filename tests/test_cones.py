@@ -9,6 +9,7 @@ from flagcones.flags import (
     Flag,
     GeometryError,
     GroupElem,
+    NumericalDomainError,
     ProjectiveCovector,
     ProjectivePoint,
     act_on_flag,
@@ -22,8 +23,11 @@ from flagcones.cones import (
     INSIDE,
     Multicone,
     OUTSIDE,
+    _all_inside,
     _chart_rows,
     _classify_position,
+    _inner_positions,
+    _nest_lower,
     _positions,
     boundary_chart,
     contains_flag,
@@ -35,7 +39,7 @@ from flagcones.cones import (
 )
 from flagcones.flags import SpdPoint, busemann
 from flagcones.plane import AXIS_DIRECTION, PlanePoint, ProjectionError, embedded_rotation, fiber_over_interior, plane_sqrt_frame
-from support import random_flag, random_group_elem
+from support import random_flag, random_group_elem, reference_all_inside, reference_nest_lower
 
 
 def std_flag(x, y):
@@ -148,6 +152,47 @@ def test_nest_estimate_translates(s):
     assert est.lower >= 0
     assert est.fplus.same_as(endpoint_flags(inner)[0])
     assert est.fminus.same_as(endpoint_flags(MODEL)[1])
+
+
+@pytest.mark.parametrize("t", [36.0, 40.0, 46.0])
+def test_nest_estimate_far_translates(t):
+    # every boundary sample sits within 5e-16 of angle 0, which the contraction fixes
+    est = nest_estimate(MODEL, MODEL.translated_along_axis(t), 1024).lower
+    assert est == pytest.approx((t - DEFAULT_TOL) / 2, rel=1e-12, abs=0)
+
+
+def test_nest_estimate_fails_loudly_past_resolution():
+    # from t of about 47 every sampled position of the translate is a
+    # boundary position at angle exactly 0, which the contraction fixes
+    with pytest.raises(NumericalDomainError):
+        nest_estimate(MODEL, MODEL.translated_along_axis(48.0), 1024)
+
+
+def test_nest_estimate_tolerance_without_inside_boundary():
+    # at tol = 2 no boundary angle is inside, so the cones are not nested
+    # and the tangent bound tan(pi/4 - tol/2) < 0 is never taken
+    inner = MODEL.translated_along_axis(1.0)
+    assert not is_nested(MODEL, inner, 1024, 2.0)
+    with pytest.raises(GeometryError):
+        nest_estimate(MODEL, inner, 1024, 2.0)
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    angle=st.floats(-math.pi, math.pi),
+    t=st.floats(0.05, 5.0),
+    tol=st.sampled_from([0.0, 1e-6, 1e-3]),
+)
+def test_nest_lower_matches_bisection(seed, angle, t, tol):
+    outer = Multicone.model(angle).transformed(random_group_elem(np.random.default_rng(seed)))
+    positions = _inner_positions(outer, outer.translated_along_axis(t), 256)
+    assert _all_inside(positions, tol)
+    est = _nest_lower(positions, tol)
+    assert est == pytest.approx(reference_nest_lower(positions, tol), rel=1e-12, abs=0)
+    # the closed form is the largest amount the contraction keeps every position inside for
+    assert reference_all_inside(positions, (1 - 1e-9) * est, tol)
+    assert not reference_all_inside(positions, (1 + 1e-9) * est, tol)
 
 
 def test_nest_estimate_requires_nesting():
