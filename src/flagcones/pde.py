@@ -22,16 +22,21 @@ Gaussian curvature of h1^(-2), and ``ratio_identity_residual`` checks the
 elliptic identity satisfied by log of the ratio field away from zeros
 of t.
 
-The Newton operator is assembled by index arithmetic on a grid of node
-numbers, with no per-node loop.  A solve factors its first Jacobian once
-with SuperLU under the symmetric ``MMD_AT_PLUS_A`` ordering (minimum
-degree on A^T + A, about half the LU fill of the default column
-ordering).  Later Jacobians differ from it only on the diagonal, so each
-later step solves the negative definite system exactly (relative residual
-1e-12) by conjugate gradients preconditioned with that factorization,
-usually in a few iterations.  If CG does not converge, the current
-Jacobian is factored in its place.  Every step is thus a full Newton step,
-and the iteration counts are those of a direct solve.
+Each Newton step solves (-J) s = r, with -J = diag(w) - (1/4) lap and
+w = |t|^2 e^u + 2 e^(-2u) > 0, by conjugate gradients to relative residual
+1e-12, so every step is a full Newton step and the iteration counts are
+those of a direct solve.  CG applies -J through ``_laplacian`` on the
+grid.  Its preconditioner is built once per solve.  On the torus it is
+the exact inverse of diag(mean w) - (1/4) lap, with the mean of the
+current step's w, applied by the real FFT (the periodic five-point
+Laplacian is diagonal in Fourier modes): a constant w takes one CG
+iteration, and no matrix is built.  On the disk it is a single-precision
+SuperLU factorization, under the symmetric ``MMD_AT_PLUS_A`` ordering, of
+the first Jacobian scaled to unit diagonal, S (-J) S with
+S = diag(-J)^(-1/2), so that no entry can overflow float32; later
+Jacobians differ from it only on the diagonal.  If CG misses its
+tolerance, the preconditioner is rebuilt at the current Jacobian and the
+step retried once; a second miss is a ``SolveError``.
 
 A solve owns its grid exclusively during iteration; distinct solves are
 independent.
@@ -88,6 +93,21 @@ class DomainSpec:
                 raise DomainError(f"radius must be finite and positive, got {self.radius!r}")
             if self.boundary == "reference" and self.radius >= 1.0:
                 raise DomainError("reference boundary profile requires radius < 1")
+        if self.kind == "torus":
+            mask = np.ones(self.shape, dtype=bool)
+        else:
+            x, y = self.coords()
+            rho2 = x**2 + y**2
+            mask = rho2 < self.radius**2
+        mask.setflags(write=False)
+        object.__setattr__(self, "_interior", mask)
+        if self.kind == "disk" and self.boundary == "reference":
+            reach = float(np.sqrt(rho2[self.data_ring_mask()].max()))
+            if reach >= 1.0:
+                raise DomainError(
+                    f"the Dirichlet ring reaches radius {reach!r} >= 1, where the reference "
+                    "profile log(1 - rho^2) is undefined: lower the radius or raise n"
+                )
 
     @property
     def shape(self) -> tuple:
@@ -107,10 +127,8 @@ class DomainSpec:
         return np.meshgrid(ax, ax, indexing="ij")
 
     def interior_mask(self) -> np.ndarray:
-        if self.kind == "torus":
-            return np.ones(self.shape, dtype=bool)
-        x, y = self.coords()
-        return x**2 + y**2 < self.radius**2
+        """Interior nodes (every node of a torus); computed once, read-only."""
+        return self._interior
 
     def data_ring_mask(self) -> np.ndarray:
         """Non-interior nodes adjacent to an interior node (disk Dirichlet ring)."""
@@ -233,9 +251,11 @@ class SolveReport:
     ``residual_history`` holds the max-norm residual before each Newton
     step and after the last one; ``line_search_halvings`` and
     ``cg_iterations`` hold one entry per step.  The CG count is the number
-    of iterations CG ran for the step: 0 for the first step, which is
-    solved by a factorization, and also counted when CG fails and the
-    step falls back to a fresh factorization.
+    of iterations CG ran for the step, at least 1, the first step
+    included; when CG misses with the current preconditioner and the step
+    is retried with a rebuilt one, both attempts count.
+    ``factorizations`` counts preconditioner builds: FFT symbols on the
+    torus, float32 LU factorizations on the disk.
     """
 
     residual_norm: float
@@ -301,12 +321,17 @@ def solve(
 
     The Jacobian (1/4) lap - diag(|t|^2 e^u + 2 e^(-2u)) is strictly
     negative definite, hence invertible.  On a disk the Dirichlet ring is
-    held fixed at the values of u0 (the reference profile by default).
+    held fixed at the values of u0 (the reference profile by default).  A
+    torus datum that vanishes identically is rejected: integrating
+    (1/4) lap u = -e^(-2u) over the closed torus would give a zero
+    integral of e^(-2u).
     """
     if not (np.isfinite(tol) and tol > 0):
         raise DomainError(f"tol must be finite and positive, got {tol!r}")
     if max_iter < 1:
         raise DomainError(f"max_iter must be at least 1, got {max_iter!r}")
+    if dom.kind == "torus" and not np.any(datum.t_abs2):
+        raise DomainError("a torus datum that vanishes identically admits no solution")
     if u0 is None:
         base = np.zeros(dom.shape)
         if dom.kind == "disk":
@@ -315,35 +340,47 @@ def solve(
             base = dom.reference_profile()
         u0 = ScalarField(base, dom)
     values = u0.values.copy()
-    op = _interior_operator(dom)
     mask = dom.interior_mask()
     r = _equation_residual(values, datum, dom)[mask]
     rnorm = float(np.abs(r).max())
     history, halvings, cg_counts = [rnorm], [], []
-    lu = None
+    precond = None
     factorizations = 0
     iterations = 0
     for iterations in range(1, max_iter + 1):
         if rnorm <= tol:
             break
         weight = datum.t_abs2[mask] * np.exp(values[mask]) + 2.0 * np.exp(-2.0 * values[mask])
-        jac = op - scipy.sparse.diags(weight)
         step, cg_count = None, 0
-        if lu is not None:
-            step, cg_count = _preconditioned_step(jac, r, lu)
+        if precond is not None:
+            step, cg_count = _newton_step(dom, weight, r, precond)
         if step is None:
-            lu = scipy.sparse.linalg.splu(jac.tocsc(), permc_spec="MMD_AT_PLUS_A")
+            precond = _preconditioner(dom, weight)
             factorizations += 1
-            step = lu.solve(-r)
+            step, retry_count = _newton_step(dom, weight, r, precond)
+            cg_count += retry_count
+        if step is None:
+            raise SolveError(
+                f"CG missed relative residual 1e-12 in {CG_MAX_ITER} iterations"
+                " with a fresh preconditioner",
+                residual_norm=rnorm,
+                iterations=iterations,
+            )
         cg_counts.append(cg_count)
+        # the merit |r|^2 is taken on residuals divided by |r|_max, so that it cannot overflow;
+        # a trial whose residual is not finite fails the test and is halved
         t = 1.0
-        phi0 = float(np.dot(r, r))
+        rs = r / rnorm
+        phi0 = float(np.dot(rs, rs))
         accepted = False
         for halved in range(40):
             trial = values.copy()
             trial[mask] = values[mask] + t * step
-            rt = _equation_residual(trial, datum, dom)[mask]
-            if float(np.dot(rt, rt)) <= (1.0 - 1e-4 * t) * phi0:
+            with np.errstate(over="ignore", invalid="ignore"):
+                rt = _equation_residual(trial, datum, dom)[mask]
+                rs = rt / rnorm
+                phi = float(np.dot(rs, rs))
+            if phi <= (1.0 - 1e-4 * t) * phi0:
                 values, r = trial, rt
                 rnorm = float(np.abs(r).max())
                 history.append(rnorm)
@@ -379,27 +416,91 @@ def solve(
     return u, report
 
 
-def _preconditioned_step(jac, r, lu):
-    """Newton step s with jac s = -r by CG on the SPD system (-jac) s = r.
+#: CG iterations allowed for one attempt at a Newton step.
+CG_MAX_ITER = 100
 
-    ``lu`` factors an earlier Jacobian of the same solve, which differs
-    from ``jac`` only on the diagonal, so x -> -lu.solve(x) approximates
-    the inverse of -jac.  Returns the step and the CG iteration count, or
-    None in place of the step when CG stops short of relative residual
-    1e-12.
+
+def _preconditioner(dom: DomainSpec, weight: np.ndarray):
+    """Preconditioner for -J = diag(w) - (1/4) lap on the unknowns, built at ``weight``.
+
+    Returns ``at``: ``at(w)`` is the map x -> M^-1 x for the step whose
+    Jacobian has weight w.  Torus: the exact inverse of
+    mean(w) - (1/4) lap, by the real FFT; the symbol of -(1/4) lap on
+    mode (k, l) is sin^2(pi k/n)/hx^2 + sin^2(pi l/n)/hy^2, and the build
+    needs no weight.  Disk: S LU^-1 S x for every w, LU a float32
+    factorization of S A S with A = diag(weight) - (1/4) lap and
+    S = diag(A)^(-1/2).  S A S has unit diagonal and, A being diagonally
+    dominant, no entry above 1 in magnitude; S x is scaled to unit max norm
+    before the cast, so neither overflows float32.
     """
-    count = [0]
+    if dom.kind == "torus":
+        hx, hy = dom.spacings()
+        k = np.pi * np.arange(dom.n) / dom.n
+        symbol = np.sin(k)[:, None] ** 2 / hx**2 + np.sin(k[: dom.n // 2 + 1]) ** 2 / hy**2
 
-    def tick(_):
-        count[0] += 1
+        def at(w):
+            top = w.max()
+            denom = symbol + top * np.mean(w / top)  # mean(w), without overflow
 
-    precond = scipy.sparse.linalg.LinearOperator(
-        jac.shape, matvec=lambda x: -lu.solve(x), dtype=float
-    )
-    step, info = scipy.sparse.linalg.cg(
-        -jac, r, rtol=1e-12, atol=0.0, M=precond, callback=tick
-    )
-    return (step if info == 0 else None), count[0]
+            def fft_solve(x):
+                xhat = np.fft.rfft2(x.reshape(dom.shape))
+                return np.fft.irfft2(xhat / denom, s=dom.shape).ravel()
+
+            return fft_solve
+
+        return at
+    a = scipy.sparse.diags(weight) - _interior_operator(dom)
+    s = 1.0 / np.sqrt(a.diagonal())
+    scaled = scipy.sparse.diags(s) @ a @ scipy.sparse.diags(s)
+    lu = scipy.sparse.linalg.splu(scaled.astype(np.float32).tocsc(), permc_spec="MMD_AT_PLUS_A")
+
+    def lu_solve(x):
+        sx = s * x
+        top = np.abs(sx).max()
+        return s * (top * lu.solve((sx / top).astype(np.float32)))
+
+    return lambda w: lu_solve
+
+
+def _newton_step(dom: DomainSpec, weight: np.ndarray, r: np.ndarray, precond):
+    """Newton step s with (-J) s = r, -J = diag(weight) - (1/4) lap, by preconditioned CG.
+
+    The operator applies ``_laplacian`` to s on the grid, zero off the
+    unknowns.  CG runs on r scaled to unit max norm, so that no inner
+    product overflows, from s = 0 to relative residual 1e-12 with no
+    absolute floor.  Returns the step and the iteration count, or None in
+    place of the step when CG stops short within ``CG_MAX_ITER``
+    iterations or breaks down.
+    """
+    mask = dom.interior_mask()
+    grid = np.zeros(dom.shape)
+
+    def apply(x):
+        grid[mask] = x
+        return weight * x - 0.25 * _laplacian(grid, dom)[mask]
+
+    inverse = precond(weight)
+    scale = np.abs(r).max()
+    res = r / scale
+    stop = 1e-24 * np.dot(res, res)
+    x = np.zeros_like(res)
+    z = inverse(res)
+    p = z
+    rz = np.dot(res, z)
+    for count in range(1, CG_MAX_ITER + 1):
+        q = apply(p)
+        pq = np.dot(p, q)
+        if not pq > 0:
+            break
+        alpha = rz / pq
+        x += alpha * p
+        res -= alpha * q
+        if np.dot(res, res) <= stop:
+            return scale * x, count
+        z = inverse(res)
+        rz, rz_old = np.dot(res, z), rz
+        p = z + (rz / rz_old) * p
+    return None, count
 
 
 def beta_field(u: ScalarField, datum: HiggsDatum) -> ScalarField:

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -110,6 +111,39 @@ def test_solve_bad_datum_or_tol_usage_error(tmp_path, args):
         run(["solve", *args, "--n", "16", "--out-prefix", str(tmp_path / "x")])
     assert exc.value.code == 2
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--domain", "torus", "--t-const", "0", "--n", "32"], "vanishes identically"),
+        (["--domain", "torus", "--t-const", "1e-200", "--n", "32"], "vanishes identically"),
+        (["--domain", "disk", "--t-zero", "--radius", "0.95", "--n", "32"], "ring reaches radius"),
+        (["--domain", "disk", "--t-zero", "--radius", "0.97", "--n", "32"], "ring reaches radius"),
+        (["--domain", "disk", "--t-zero", "--radius", "0.97", "--n", "16"], "ring reaches radius"),
+    ],
+)
+def test_solve_without_a_solution_usage_error(tmp_path, capsys, args, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SystemExit) as exc:
+            run(["solve", *args, "--out-prefix", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_solve_extreme_datum_fails_without_warnings(tmp_path, capsys):
+    # |t|^2 = 1e200: Newton lowers u by about 1 per step towards -153, so 50 steps fall short
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["solve", "--domain", "torus", "--t-const", "1e100", "--n", "32",
+                    "--out-prefix", str(tmp_path / "x")])
+    assert code == 1
+    assert "no convergence in 50 iterations" in capsys.readouterr().out
+    report = json.loads((tmp_path / "x_report.json").read_text())
+    assert report["converged"] is False and report["iterations"] == 50
+    assert not (tmp_path / "x_field.csv").exists()
 
 
 def test_solve_disk_requires_boundary_for_nonzero_t(tmp_path):

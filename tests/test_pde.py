@@ -8,6 +8,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
 
+from flagcones import pde
 from flagcones.pde import (
     DomainError,
     DomainSpec,
@@ -48,6 +49,32 @@ def test_domain_validation():
             DomainSpec(**kwargs)
 
 
+@pytest.mark.parametrize("radius, n", [(0.95, 32), (0.97, 32), (0.97, 16)])
+def test_reference_disk_rejects_ring_outside_unit_disk(radius, n):
+    # the Dirichlet ring lies up to one spacing beyond the radius, where log(1 - rho^2) fails
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="ring reaches radius") as err:
+            DomainSpec("disk", n, radius=radius)
+    reach = float(str(err.value).split("radius ")[1].split(" ")[0])
+    assert 1.0 <= reach < radius + 2 * radius / (n - 1)
+    DomainSpec("disk", n, radius=radius, boundary="free")
+
+
+def test_reference_disk_near_the_unit_circle_still_solves():
+    dom = DomainSpec("disk", 64, radius=0.95)
+    u, report = solve(dom, HiggsDatum.zero(dom))
+    assert report.converged and np.all(np.isfinite(u.values))
+
+
+def test_interior_mask_is_computed_once_and_read_only():
+    for dom in (DomainSpec("disk", 32, radius=0.8), DomainSpec("torus", 32)):
+        mask = dom.interior_mask()
+        assert dom.interior_mask() is mask
+        with pytest.raises(ValueError):
+            mask[0, 0] = True
+
+
 def test_residual_constant_solution_on_torus():
     dom = DomainSpec("torus", 32)
     u = ScalarField(np.zeros(dom.shape), dom)
@@ -60,6 +87,15 @@ def test_residual_obstruction_on_torus():
     u = ScalarField(np.zeros(dom.shape), dom)
     r = residual(u, HiggsDatum.zero(dom), dom)
     assert np.abs(r.values - 1.0).max() == 0.0
+
+
+@pytest.mark.parametrize("make", [HiggsDatum.zero, lambda dom: HiggsDatum.constant(0.0, dom),
+                                  lambda dom: HiggsDatum.constant(1e-200, dom)])
+def test_solve_rejects_zero_datum_on_torus(make):
+    # (1/4) lap u = -e^(-2u) integrates to a zero integral of e^(-2u); 1e-200 squares to 0
+    dom = DomainSpec("torus", 32)
+    with pytest.raises(DomainError, match="vanishes identically"):
+        solve(dom, make(dom))
 
 
 def test_residual_disk_reference_rate():
@@ -241,19 +277,29 @@ def _reference_solve(dom, datum, u0=None, tol=1e-10, max_iter=50):
     return values, iterations
 
 
+def _wavy_datum(dom):
+    """|t|^2 = 4 (1 + 0.95 sin(2 pi x / Px) cos(2 pi y / Py)) on the torus nodes, (x/Px, y/Py) = (i, j)/n."""
+    x, y = np.meshgrid(np.arange(dom.n) / dom.n, np.arange(dom.n) / dom.n, indexing="ij")
+    return HiggsDatum.tabulated(4.0 * (1.0 + 0.95 * np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y)), dom)
+
+
 def _reference_cases():
     disk = DomainSpec("disk", 64, radius=0.8)
     torus = DomainSpec("torus", 32)
+    oblong = DomainSpec("torus", 32, periods=(1.0, 2.0))
     far = ScalarField(np.full(torus.shape, -3.0), torus)
     return [
         (disk, HiggsDatum.monomial(1.0, 2, disk), None),
         (disk, HiggsDatum.zero(disk), None),
         (torus, HiggsDatum.constant(0.5, torus), far),
         (torus, HiggsDatum.constant(2.0, torus), far),
+        (torus, _wavy_datum(torus), ScalarField(np.zeros(torus.shape), torus)),
+        (oblong, _wavy_datum(oblong), ScalarField(np.zeros(oblong.shape), oblong)),
+        (disk, HiggsDatum.monomial(1.5, 1, disk), None),
     ]
 
 
-@pytest.mark.parametrize("case", range(4))
+@pytest.mark.parametrize("case", range(7))
 def test_solve_matches_direct_newton_with_one_factorization(case):
     dom, datum, u0 = _reference_cases()[case]
     ref, ref_iterations = _reference_solve(dom, datum, u0)
@@ -265,21 +311,52 @@ def test_solve_matches_direct_newton_with_one_factorization(case):
     assert len(report.residual_history) == steps + 1
     assert report.residual_history[-1] == report.residual_norm
     assert len(report.line_search_halvings) == steps
-    assert report.cg_iterations[0] == 0 and len(report.cg_iterations) == steps
-    assert all(k > 0 for k in report.cg_iterations[1:])
+    # every step, the first included, is solved by CG
+    assert len(report.cg_iterations) == steps
+    assert all(k > 0 for k in report.cg_iterations)
+
+
+@pytest.mark.parametrize("periods", [(1.0, 1.0), (1.0, 2.0), (0.3, 5.0)])
+@pytest.mark.parametrize("start", [-3.0, 0.0, 2.0])
+def test_constant_torus_datum_takes_one_cg_iteration_per_step(periods, start):
+    # w is constant, so the FFT preconditioner inverts each Jacobian exactly
+    dom = DomainSpec("torus", 32, periods=periods)
+    u0 = ScalarField(np.full(dom.shape, start), dom)
+    u, report = solve(dom, HiggsDatum.constant(2.0, dom), u0=u0)
+    assert report.iterations > 2
+    assert report.cg_iterations == (1,) * (report.iterations - 1)
+    assert np.abs(u.values + (2.0 / 3.0) * math.log(2.0)).max() <= 1e-8
 
 
 def test_solve_refactors_when_cg_fails(monkeypatch):
-    def failing_cg(a, b, *args, **kwargs):
-        return np.zeros_like(b), 1
+    # CG misses with every preconditioner it has used before, and converges with a fresh one
+    newton_step = pde._newton_step
 
+    def flaky_step(dom, weight, r, precond):
+        if any(p is precond for p in used):
+            return None, 7
+        used.append(precond)
+        return newton_step(dom, weight, r, precond)
+
+    monkeypatch.setattr(pde, "_newton_step", flaky_step)
+    for case in (3, 0):
+        used = []
+        dom, datum, u0 = _reference_cases()[case]
+        ref, ref_iterations = _reference_solve(dom, datum, u0)
+        u, report = solve(dom, datum, u0=u0)
+        assert report.iterations == ref_iterations
+        assert np.abs(u.values - ref).max() <= 1e-12
+        assert report.factorizations == len(report.cg_iterations) == report.iterations - 1
+        assert all(k > 7 for k in report.cg_iterations[1:])
+
+
+def test_solve_raises_when_cg_fails_with_a_fresh_preconditioner(monkeypatch):
+    monkeypatch.setattr(pde, "_newton_step", lambda dom, weight, r, precond: (None, pde.CG_MAX_ITER))
     dom, datum, u0 = _reference_cases()[3]
-    ref, ref_iterations = _reference_solve(dom, datum, u0)
-    monkeypatch.setattr(scipy.sparse.linalg, "cg", failing_cg)
-    u, report = solve(dom, datum, u0=u0)
-    assert report.iterations == ref_iterations
-    assert np.abs(u.values - ref).max() <= 1e-12
-    assert report.factorizations == len(report.cg_iterations) == report.iterations - 1
+    with pytest.raises(SolveError, match="fresh preconditioner") as err:
+        solve(dom, datum, u0=u0)
+    assert err.value.iterations == 1
+    assert err.value.residual_norm is not None
 
 
 def test_solve_report_json_carries_diagnostics():
@@ -358,6 +435,7 @@ DOMAINS = st.one_of(
         st.just("disk"),
         st.integers(16, 48),
         radius=st.floats(0.05, 0.99, exclude_min=True, exclude_max=True),
+        boundary=st.just("free"),
     ),
     st.builds(
         DomainSpec,
