@@ -18,9 +18,15 @@ its scalar views and ``sweep`` evaluates it on (d, z) blocks.  The
 commutator definition of the fields is the primitive object, kept
 independent of the kernel and compared against it on every sweep cell.
 The sweep's oracle computes only the (3,1) corner the pairing reads
-(``_field_corner``), cell by cell from the commutator definition applied
-to H' and the projector; the full field (``_field_from``) is formed only
-by ``commutator_fields``.  Margins are evaluated in a cancellation-safe
+(``_field_corner``, the commutator definition applied to a matrix and the
+projector); the full field (``_field_from``) is formed only by
+``commutator_fields``.  The corner is real-linear in the matrix, so the
+sweep evaluates ``_field_corner`` once on the 18 real basis matrices E_k,
+i E_k against the projector stack and contracts every H'(beta, d) with
+that kernel in one complex matrix product per beta.  That is the
+commutator definition summed in another order: no closed form enters,
+and a fault in ``_field_corner`` or ``_hprime_closed`` reaches the
+oracle's deviation as before.  Margins are evaluated in a cancellation-safe
 order, which is what makes the exact vanishing at beta = 0 visible at the
 1e-12 level.  The pairing keeps a constant sign across the admissible
 regime (the unstated co-orientation); the margin uses its absolute value
@@ -425,15 +431,30 @@ class CertReport:
         }
 
 
-def _oracle_alphas_batch(beta: complex, d: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """(3,1) corners of the commutator field of H' over d (rows) and projectors p (columns).
+def _corner_kernel(p: np.ndarray) -> np.ndarray:
+    """The (18, n_z) kernel [L; M] of the real-linear map a -> ``_field_corner(a, p)``.
 
-    Each (d, z) cell is evaluated from the commutator definition applied to
-    H'(beta, d) and the projector, but only the corner is formed: the eight
-    entries of [H', pi] it reads and the four products at (3,1), never the
-    full 3x3 field.
+    The corner is real-linear in a, so corner(a) = sum_k a_k L_k + conj(a_k)
+    M_k over the nine entries k of a.  L and M are read off
+    ``_field_corner`` itself at the unit matrices E_k and at i E_k:
+    L = (c(E) - i c(iE))/2 and M = (c(E) + i c(iE))/2.
     """
-    return _field_corner(_hprime_closed(beta, d)[:, None], p)
+    unit = np.eye(9, dtype=complex).reshape(9, 1, 3, 3)
+    c_re, c_im = _field_corner(unit, p), _field_corner(1j * unit, p)
+    return np.concatenate([(c_re - 1j * c_im) / 2, (c_re + 1j * c_im) / 2])
+
+
+def _oracle_alphas_batch(beta: complex, d: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """(3,1) corners of the commutator field of H' over d (rows) and projectors (columns).
+
+    One complex GEMM: [vec H'(beta, d), conj vec H'(beta, d)] (n_d x 18)
+    times the ``_corner_kernel`` of the projector stack.  The kernel is
+    ``_field_corner`` evaluated on a basis, so each cell is still the
+    commutator definition applied to H' and the projector, summed in a
+    different order; no closed form enters.
+    """
+    h = _hprime_closed(beta, d).reshape(-1, 9)
+    return np.concatenate([h, np.conj(h)], axis=1) @ kernel
 
 
 def sweep(grid: CertGrid) -> CertReport:
@@ -441,8 +462,10 @@ def sweep(grid: CertGrid) -> CertReport:
 
     Margins and eta values come from ``_closed_forms``; on every cell the
     commutator-oracle corner coefficients are compared against the closed
-    forms and the worst deviation is reported.  The fiber projectors and
-    the beta-independent H0perp corner are built once per sweep.
+    forms and the worst deviation is reported.  The fiber projectors, the
+    beta-independent H0perp corner and the ``_corner_kernel`` of the
+    projectors are built once per sweep; each beta's H' corners are then
+    one contraction against that kernel (``_oracle_alphas_batch``).
     ``analytic_floor_gap`` is the least margin - |beta| (|sinh d| -
     1/sqrt 2)^2, the margin's distance above the floor implied by the
     closed forms.
@@ -453,6 +476,7 @@ def sweep(grid: CertGrid) -> CertReport:
     p = _projector_mats(z)
     _check_flag_mats(p)
     a2o = _field_corner(_H0PERP, p)
+    kernel = _corner_kernel(p)
     floor_shape = (np.abs(np.sinh(d)) - 1.0 / _SQRT2)[:, None] ** 2
 
     min_margin = math.inf
@@ -472,7 +496,7 @@ def sweep(grid: CertGrid) -> CertReport:
         sign_constant &= bool(np.all(p_scaled < 0.0))
         n_cells += margins.size
 
-        a1o = _oracle_alphas_batch(beta, d, p)
+        a1o = _oracle_alphas_batch(beta, d, kernel)
         dev = max(float(np.abs(a1o - a1c).max()), float(np.abs(a2o - a2c).max()))
         oracle_dev = max(oracle_dev, dev)
 

@@ -174,7 +174,11 @@ def _chart_rows(cone: Multicone, theta, lam) -> tuple[np.ndarray, np.ndarray]:
     c, s = np.cos(theta), np.sin(theta)
     one = np.ones_like(c)
     raw = _flag_rows(np.stack([lam * c, one, s / lam], axis=1), np.stack([-c / lam, one, -lam * s], axis=1))
-    carrier = GroupElem(cone.total.mat @ _ROT_OFFSET.mat)
+    # both factors are validated, so a product that fails the determinant check is a float failure
+    try:
+        carrier = GroupElem(cone.total.mat @ _ROT_OFFSET.mat)
+    except GeometryError as exc:
+        raise NumericalDomainError(f"boundary_chart: cone frame lost unit determinant ({exc})") from exc
     return _act_rows(carrier, *raw)
 
 

@@ -341,8 +341,11 @@ def solve(
         u0 = ScalarField(base, dom)
     values = u0.values.copy()
     mask = dom.interior_mask()
-    r = _equation_residual(values, datum, dom)[mask]
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = _equation_residual(values, datum, dom)[mask]
     rnorm = float(np.abs(r).max())
+    if not np.isfinite(rnorm):
+        raise SolveError("the residual at the initial field is not finite", iterations=0)
     history, halvings, cg_counts = [rnorm], [], []
     precond = None
     factorizations = 0

@@ -3,7 +3,8 @@
 None of this is library code.  The CLI and the benchmark never call it;
 the tests use it to draw flags and group elements, change frames, walk
 plane geodesics, project a flag in 60-digit arithmetic, bisect a nest
-estimate, read a field CSV back and reduce words cyclically.
+estimate, evaluate the certificate oracle by broadcasting, read a field
+CSV back and reduce words cyclically.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import mpmath
 import numpy as np
 import scipy.linalg
 
-from flagcones.certificate import HermitianMat
+from flagcones.certificate import HermitianMat, _field_corner, _hprime_closed
 from flagcones.cones import INSIDE, _classify_position
 from flagcones.flags import (
     FRAME_TO_COMPLEX,
@@ -233,6 +234,16 @@ def reference_nest_lower(positions, tol: float) -> float:
 
 
 # --- certificate -------------------------------------------------------------
+
+
+def reference_oracle_alphas(beta: complex, d: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """(3,1) corners of the commutator field of H' over d (rows) and projectors p (columns).
+
+    The sweep's broadcast oracle before it became a contraction: each
+    (d, z) cell evaluated by ``_field_corner`` on H'(beta, d) and the
+    projector directly.
+    """
+    return _field_corner(_hprime_closed(beta, d)[:, None], p)
 
 
 def alpha_coefficient(mat) -> complex:

@@ -9,8 +9,10 @@ from flagcones.certificate import (
     CertGrid,
     PAIRING_SIGN,
     RegimeError,
+    _corner_kernel,
     _field_corner,
     _field_from,
+    _hprime_closed,
     _oracle_alphas_batch,
     _projector_mats,
     alpha_closed_forms,
@@ -28,7 +30,7 @@ from flagcones.certificate import (
 )
 from flagcones.flags import FRAME_TO_COMPLEX, GeometryError, SpdPoint, busemann
 from flagcones.plane import PlanePoint, fiber_over_interior
-from support import alpha_coefficient
+from support import alpha_coefficient, reference_oracle_alphas
 
 
 def sample_params(rng, n, beta_max=0.95, d_max=5.0):
@@ -303,7 +305,7 @@ def test_batched_oracle_matches_per_cell_commutator_fields():
     for j, zv in enumerate(z):
         assert np.abs(p[j] - projector_pi(zv).mat).max() <= 1e-15
     for beta in (0.6 * np.exp(0.7j), 0.95 * np.exp(2.1j), -0.95):
-        a1o = _oracle_alphas_batch(beta, d, p)
+        a1o = _oracle_alphas_batch(beta, d, _corner_kernel(p))
         assert a1o.shape == (d.size, z.size)
         for j, zv in enumerate(z):
             for i, dv in enumerate(d):
@@ -311,20 +313,68 @@ def test_batched_oracle_matches_per_cell_commutator_fields():
                 assert abs(a1o[i, j] - a1) <= 1e-12 * max(1.0, abs(a1))
 
 
+#: A small grid on which every injected fault below must reach oracle_dev.
+MUTANT_GRID = CertGrid(beta_moduli=(0.0, 0.5), beta_phases=2, z_phases=8, d_step=0.5)
+
+
 def test_sweep_oracle_catches_a_wrong_closed_form(monkeypatch):
     # the oracle is evaluated independently of the closed-form kernel, so a
-    # kernel whose a1 is off by 1e-8 must show up in oracle_dev
+    # kernel whose a1 or a2 is off by 1e-8 must show up in oracle_dev
     from flagcones import certificate
 
     kernel = certificate._closed_forms
+    for which in (0, 1):
 
-    def shifted(beta, d, z):
-        a1, *rest = kernel(beta, d, z)
-        return (a1 + 1e-8, *rest)
+        def shifted(beta, d, z):
+            out = list(kernel(beta, d, z))
+            out[which] = out[which] + 1e-8
+            return tuple(out)
 
-    monkeypatch.setattr(certificate, "_closed_forms", shifted)
-    grid = CertGrid(beta_moduli=(0.0, 0.5), beta_phases=2, z_phases=8, d_step=0.5)
-    assert sweep(grid).oracle_dev > 1e-10
+        monkeypatch.setattr(certificate, "_closed_forms", shifted)
+        assert sweep(MUTANT_GRID).oracle_dev > 1e-10, which
+
+
+def _mutant_field_corner(drop_pc: bool, c10_reads_c01: bool):
+    """A copy of ``_field_corner`` without its p* c term, or reading c[0,1] for c[1,0]."""
+
+    def corner(a, p):
+        def c(i, j):
+            return (
+                a[..., i, 0] * p[..., 0, j] + a[..., i, 1] * p[..., 1, j] + a[..., i, 2] * p[..., 2, j]
+            ) - (p[..., i, 0] * a[..., 0, j] + p[..., i, 1] * a[..., 1, j] + p[..., i, 2] * a[..., 2, j])
+
+        row0 = (c(0, 0), c(0, 1), c(0, 2))
+        row2 = (c(2, 0), c(2, 1), c(2, 2))
+        col0 = (row0[0], c(0, 1) if c10_reads_c01 else c(1, 0), row2[0])
+        col2 = (row0[2], c(1, 2), row2[2])
+        ph = np.conj(p)
+        return sum(
+            row2[k] * ph[..., 0, k]
+            + p[..., 2, k] * np.conj(row0[k])
+            - np.conj(col2[k]) * p[..., k, 0]
+            - (0.0 if drop_pc else ph[..., k, 2] * col0[k])
+            for k in range(3)
+        )
+
+    return corner
+
+
+@pytest.mark.parametrize(
+    "attr, mutant",
+    [
+        ("_field_corner", _mutant_field_corner(drop_pc=True, c10_reads_c01=False)),
+        ("_field_corner", _mutant_field_corner(drop_pc=False, c10_reads_c01=True)),
+        ("_hprime_closed", lambda beta, d: _hprime_closed(beta, -d)),
+    ],
+    ids=["corner-drops-p*c", "corner-reads-c01-for-c10", "hprime-conjugated-the-wrong-way"],
+)
+def test_sweep_oracle_catches_a_wrong_commutator_oracle(monkeypatch, attr, mutant):
+    # the kernel and the H0perp corner are built from the module's _field_corner, and the
+    # contraction reads the module's _hprime_closed, so a fault on the oracle side reaches oracle_dev
+    from flagcones import certificate
+
+    monkeypatch.setattr(certificate, attr, mutant)
+    assert sweep(MUTANT_GRID).oracle_dev > 1e-10
 
 
 COMPLEX = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
@@ -346,6 +396,39 @@ def test_field_corner_matches_full_field(mats, phases):
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(a).max()
     single = _field_corner(a[0, 0], p)
     assert np.abs(single - _field_from(a[0, 0], p)[..., 2, 0]).max() <= 1e-12 * np.abs(a[0, 0]).max()
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    modulus=st.floats(0.0, 1.0, exclude_max=True),
+    angle=st.floats(0.0, 2 * math.pi),
+    d=st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=8),
+    phases=st.lists(st.floats(0.0, 2 * math.pi), min_size=1, max_size=8),
+)
+def test_contracted_oracle_matches_broadcast_reference(modulus, angle, d, phases):
+    # one GEMM against the corner kernel gives the broadcast commutator corners
+    beta = modulus * np.exp(1j * angle)
+    d = np.array(d)
+    p = _projector_mats(np.exp(1j * np.array(phases)))
+    ref = reference_oracle_alphas(beta, d, p)
+    got = _oracle_alphas_batch(beta, d, _corner_kernel(p))
+    assert got.shape == ref.shape == (len(d), len(phases))
+    assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    mats=st.lists(st.lists(COMPLEX, min_size=9, max_size=9), min_size=1, max_size=4),
+    phases=st.lists(st.floats(0.0, 2 * math.pi), min_size=1, max_size=8),
+)
+def test_corner_kernel_is_exact_for_any_matrix(mats, phases):
+    # the real-linear split corner(a) = sum a_k L_k + conj(a_k) M_k holds for every complex a
+    a = np.array(mats).reshape(-1, 9)
+    p = _projector_mats(np.exp(1j * np.array(phases)))
+    got = np.concatenate([a, np.conj(a)], axis=1) @ _corner_kernel(p)
+    ref = _field_corner(a.reshape(-1, 1, 3, 3), p)
+    assert got.shape == ref.shape == (len(mats), len(phases))
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(a).max()
 
 
 # CertReport values of the two grids below, computed with the full-field

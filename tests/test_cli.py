@@ -261,6 +261,16 @@ def test_certify_flow_past_resolved_times_exits_one(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_certify_flow_far_frame_off_determinant_exits_one(tmp_path, capsys):
+    # at angle 0.7 and t = 16 the product of two validated frames misses determinant 1 by
+    # 2.2e-10 in float: a numerical failure, not a usage error
+    out = tmp_path / "flow.json"
+    assert run(["certify-flow", "--angle", "0.7", "--times", "16", "--betas", "0", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "NumericalDomainError" in err and "determinant" in err
+    assert not out.exists()
+
+
 def test_certify_flow_zero_step_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run(["certify-flow", "--t-step", "0", "--out", str(tmp_path / "x.json")])

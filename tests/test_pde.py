@@ -98,6 +98,15 @@ def test_solve_rejects_zero_datum_on_torus(make):
         solve(dom, make(dom))
 
 
+def test_solve_from_an_overflowing_start_raises_solve_error():
+    # |t|^2 e^720 overflows: the initial residual is not finite, which is a solve failure, not a warning
+    dom = DomainSpec("torus", 32)
+    u0 = ScalarField(np.full(dom.shape, 720.0), dom)
+    with pytest.raises(SolveError, match="initial field is not finite") as exc:
+        solve(dom, HiggsDatum.constant(2.0, dom), u0)
+    assert exc.value.iterations == 0
+
+
 def test_residual_disk_reference_rate():
     sups = []
     for n in (32, 64, 128):
