@@ -7,10 +7,11 @@ the antidiagonal real structure J conj(.) J.  The flow direction is
 
     H(beta) = [[0, beta, 1], [conj(beta), 0, beta], [1, conj(beta), 0]],
 
-with |beta| < 1 the admissible regime.  The certified quantity is the
-pairing of the flow field against the co-orienting one-form of the
-boundary cylinder, swept over the modulus and phase of beta, the cylinder
-parameter d and the fiber phase z.
+with |beta| < 1 the admissible regime; ``flow_matrix`` reads it off the
+closed form of its conjugate H'(beta, d) at d = 0.  The certified
+quantity is the pairing of the flow field against the co-orienting
+one-form of the boundary cylinder, swept over the modulus and phase of
+beta, the cylinder parameter d and the fiber phase z.
 
 Every closed form is written once, in the broadcasting kernel
 ``_closed_forms``; ``alpha_closed_forms`` and ``certificate_margin`` are
@@ -42,7 +43,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .flags import (
     FRAME_TO_COMPLEX,
@@ -54,6 +54,7 @@ from .flags import (
     ProjectivePoint,
     TangentDir,
     _act_rows,
+    _symmetric_function,
 )
 from .cones import DEFAULT_LOGLAM_RANGE, Multicone, _chart_rows, _check_tol, _classify_position, _positions
 
@@ -68,10 +69,6 @@ _SQRT2 = math.sqrt(2.0)
 #: Sign of the pairing Im(alpha(M1) conj(alpha(M2))) across the admissible
 #: regime; fixed once by evaluation at beta = 0, d = 0, z = 1.
 PAIRING_SIGN = -1.0
-
-#: Sign of the derivative of the horofunction along the pointing field,
-#: calibrated once against ``flags.busemann`` at the identity.
-POINTING_DERIVATIVE_SIGN = +1.0
 
 
 class RegimeError(GeometryError):
@@ -145,13 +142,6 @@ def _check_beta(beta) -> complex:
     return b
 
 
-def flow_matrix(beta) -> np.ndarray:
-    """The complexified flow direction H(beta)."""
-    b = _check_beta(beta)
-    bb = np.conj(b)
-    return np.array([[0, b, 1], [bb, 0, b], [1, bb, 0]], dtype=complex)
-
-
 def _ed_closed(d: float) -> np.ndarray:
     ch, sh = math.cosh(d), math.sinh(d)
     return np.array(
@@ -171,6 +161,11 @@ def _hprime_closed(beta: complex, d) -> np.ndarray:
             (c2, bb * ch - 1j * b * sh, -2j * ch * sh),
         )
     )
+
+
+def flow_matrix(beta) -> np.ndarray:
+    """The complexified flow direction H(beta): H' at d = 0, where Ed is the identity."""
+    return _hprime_closed(_check_beta(beta), 0.0)
 
 
 _H0 = np.array([[0, 0, 1], [0, 0, 0], [1, 0, 0]], dtype=complex)
@@ -252,8 +247,8 @@ def pointing_vector(pi: NilpotentFlagMat) -> HermitianMat:
 
     Hermitian, trace-free, orthogonal to the plane span(H0, H0perp) under
     the trace pairing.  The horofunction of the encoded flag increases
-    along its real-coordinate image at the identity
-    (POINTING_DERIVATIVE_SIGN); the descent direction is its negative.
+    along its real-coordinate image at the identity (checked against
+    ``flags.busemann``); the descent direction is its negative.
     """
     p = pi.mat
     ph = p.conj().T
@@ -535,8 +530,7 @@ def sweep(grid: CertGrid) -> CertReport:
 
 def flow_generator(beta) -> TangentDir:
     """Real-coordinate flow direction: the frame conjugate of H(beta)."""
-    h = flow_matrix(beta)
-    a = _FRAME_TO_REAL @ h @ FRAME_TO_COMPLEX
+    a = _FRAME_TO_REAL @ flow_matrix(beta) @ FRAME_TO_COMPLEX
     if float(np.abs(a.imag).max()) > 1e-12:
         raise GeometryError("flow_generator: conjugate is not real")
     return TangentDir(0.5 * (a.real + a.real.T))
@@ -551,10 +545,10 @@ def pushforward_check(
     """Flow boundary-cylinder flags and classify them against the model cone.
 
     Samples the chart of the model cone's boundary cylinder, pushes each
-    flag forward along exp(t H(beta)) and classifies the image.  For
-    t_step > 0 and |beta| < 1 every sample lands strictly inside; the
-    report records counts and the minimal signed displacement in the
-    plane coordinate.
+    flag forward along exp(t H(beta)), an ``eigh`` exponential of the
+    symmetric ``flow_generator``, and classifies the image.  For t_step > 0
+    and |beta| < 1 every sample lands strictly inside; the report records
+    counts and the minimal signed displacement in the plane coordinate.
     """
     b = _check_beta(beta)
     if t_step < 0 or not np.isfinite(t_step):
@@ -568,7 +562,7 @@ def pushforward_check(
     lams = np.exp(np.linspace(*DEFAULT_LOGLAM_RANGE, n_lam))
     thetas = np.linspace(0.0, 2 * math.pi, n_theta, endpoint=False)
     flags = _chart_rows(cone, np.tile(thetas, n_lam)[:n_samples], np.repeat(lams, n_theta)[:n_samples])
-    flow = GroupElem(scipy.linalg.expm(t_step * flow_generator(b).mat))
+    flow = GroupElem(_symmetric_function(t_step * flow_generator(b).mat, np.exp))
     boundary, value = _positions(cone, *_act_rows(flow, *flags))
     classes = _classify_position(boundary, value, tol)
     counts = {k: int(np.count_nonzero(classes == k)) for k in ("inside", "boundary", "outside")}

@@ -20,6 +20,8 @@ Conventions used throughout the package:
   ``_act_rows`` and ``_pullback_rows`` hold the normalization, incidence
   check and actions; ``ProjectivePoint``, ``Flag``, ``act_on_flag`` and
   ``pullback_flag`` are their N=1 views.
+* Exp, square root and inverse square root of a symmetric matrix are all
+  q diag(f(w)) q^T of one ``np.linalg.eigh`` (``_symmetric_function``).
 
 All values are immutable after construction and every operation is pure,
 so everything here is safe for unrestricted concurrent use.
@@ -31,7 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 ALGEBRAIC_TOL = 1e-12
 SPECTRAL_TOL = 1e-10
@@ -330,23 +331,33 @@ def act_on_point(g: GroupElem, x: SpdPoint) -> SpdPoint:
     return SpdPoint.from_matrix(g.mat @ x.mat @ g.mat.T)
 
 
+def _symmetric_function(mat, f) -> np.ndarray:
+    """f(M) = q diag(f(w)) q^T of a symmetric M = q diag(w) q^T, by ``np.linalg.eigh``."""
+    w, q = np.linalg.eigh(np.asarray(mat, dtype=float))
+    return (q * f(w)) @ q.T
+
+
 def spd_sqrt(mat: np.ndarray) -> np.ndarray:
     """Symmetric square root of a symmetric positive definite matrix."""
-    w, q = np.linalg.eigh(np.asarray(mat, dtype=float))
-    if w[0] <= 0:
-        raise GeometryError("spd_sqrt: matrix is not positive definite")
-    return (q * np.sqrt(w)) @ q.T
+
+    def root(w):
+        if w[0] <= 0:
+            raise GeometryError("spd_sqrt: matrix is not positive definite")
+        return np.sqrt(w)
+
+    return _symmetric_function(mat, root)
 
 
 def geodesic(x: SpdPoint, v: TangentDir, t: float) -> SpdPoint:
     """Geodesic through x with direction v: X^(1/2) exp(tV) X^(1/2)."""
     s = spd_sqrt(x.mat)
-    return SpdPoint.from_matrix(s @ scipy.linalg.expm(t * v.mat) @ s)
+    return SpdPoint.from_matrix(s @ _symmetric_function(t * v.mat, np.exp) @ s)
 
 
 def distance(x: SpdPoint, y: SpdPoint) -> float:
-    """Affine-invariant distance: sqrt(sum log^2 eig(X^-1 Y))."""
-    w = scipy.linalg.eigh(y.mat, x.mat, eigvals_only=True)
+    """Affine-invariant distance: sqrt(sum log^2 eig(X^-1 Y)), eig of X^(-1/2) Y X^(-1/2)."""
+    r = _symmetric_function(x.mat, lambda w: 1.0 / np.sqrt(w))
+    w = np.linalg.eigvalsh(r @ y.mat @ r)
     if w[0] <= 0:
         raise NumericalDomainError("distance: non-positive generalized eigenvalue")
     return float(np.sqrt(np.sum(np.log(w) ** 2)))
@@ -355,6 +366,8 @@ def distance(x: SpdPoint, y: SpdPoint) -> float:
 def gap_vector(g, eigenvalues: bool = True) -> GapVector:
     """Log singular-value gaps of g, and eigenvalue-modulus gaps if requested."""
     mat = g.mat if isinstance(g, GroupElem) else np.asarray(g, dtype=float)
+    if not np.all(np.isfinite(mat)):
+        raise GeometryError("gap_vector: non-finite matrix entries")
     s = np.linalg.svd(mat, compute_uv=False)
     if s[2] <= 0:
         raise NumericalDomainError("gap_vector: singular matrix")

@@ -34,7 +34,9 @@ iteration, and no matrix is built.  On the disk it is a single-precision
 SuperLU factorization, under the symmetric ``MMD_AT_PLUS_A`` ordering, of
 the first Jacobian scaled to unit diagonal, S (-J) S with
 S = diag(-J)^(-1/2), so that no entry can overflow float32; later
-Jacobians differ from it only on the diagonal.  If CG misses its
+Jacobians differ from it only on the diagonal.  Only the disk builders
+(``_interior_operator`` and this LU) import SciPy, so a torus solve,
+like every other command, loads none of it.  If CG misses its
 tolerance, the preconditioner is rebuilt at the current Jacobian and the
 step retried once; a second miss is a ``SolveError``.
 
@@ -47,8 +49,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
 
 
 class DomainError(ValueError):
@@ -289,6 +289,7 @@ def _interior_operator(dom: DomainSpec):
     node that contributes no entry.  Each stencil direction reads its
     neighbour's number from ``_neighbours`` of that grid.
     """
+    from scipy.sparse import csr_matrix
     hx, hy = dom.spacings()
     mask = dom.interior_mask()
     m = int(mask.sum())
@@ -304,10 +305,8 @@ def _interior_operator(dom: DomainSpec):
         rows.append(own[keep])
         cols.append(nb[keep])
         vals.append(np.full(int(keep.sum()), w))
-    lap = scipy.sparse.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(m, m)
-    )
-    return 0.25 * lap
+    data = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
+    return 0.25 * csr_matrix(data, shape=(m, m))
 
 
 def solve(
@@ -452,10 +451,12 @@ def _preconditioner(dom: DomainSpec, weight: np.ndarray):
             return fft_solve
 
         return at
-    a = scipy.sparse.diags(weight) - _interior_operator(dom)
+    from scipy.sparse import diags
+    from scipy.sparse.linalg import splu
+    a = diags(weight) - _interior_operator(dom)
     s = 1.0 / np.sqrt(a.diagonal())
-    scaled = scipy.sparse.diags(s) @ a @ scipy.sparse.diags(s)
-    lu = scipy.sparse.linalg.splu(scaled.astype(np.float32).tocsc(), permc_spec="MMD_AT_PLUS_A")
+    scaled = diags(s) @ a @ diags(s)
+    lu = splu(scaled.astype(np.float32).tocsc(), permc_spec="MMD_AT_PLUS_A")
 
     def lu_solve(x):
         sx = s * x

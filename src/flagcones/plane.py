@@ -229,14 +229,14 @@ def criticality_residual(f: Flag, x: PlanePoint) -> float:
     """Norm of the first-order conditions for x to minimize f's horofunction.
 
     The flag is pulled back by the square-root frame of x, so that x
-    becomes the identity, where the two conditions are the gradient of
-    ``_tangent_grad_hess`` (the criticality defects, which vanish at the
-    projection).  Zero exactly on the fiber over x.
+    becomes the identity, where the two conditions are the gradient
+    ``_tangent_grad_hess`` returns (the criticality defects, which vanish
+    at the projection).  Zero exactly on the fiber over x.
     """
     lines, planes = f.line.coords[None], f.plane.coords[None]
     if not x.same_as(PlanePoint.identity(), tol=0.0):
         lines, planes = _pullback_rows(plane_sqrt_frame(x), lines, planes)
-    grad, _ = _tangent_grad_hess(lines.T, planes.T)
+    grad = _tangent_grad_hess(lines.T, planes.T)
     return float(math.hypot(grad[0, 0], grad[1, 0]))
 
 
@@ -272,26 +272,18 @@ def _detect_boundary(x: np.ndarray, y: np.ndarray, tol: float):
     return hit, phi
 
 
-def _tangent_grad_hess(x: np.ndarray, y: np.ndarray):
-    """Gradients and Hessians of the horofunctions at the identity, rows as columns.
+def _tangent_grad_hess(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Gradients of the horofunctions at the identity, rows as columns: shape (2, M).
 
     ``x`` and ``y`` are (3, M) line and covector components.  Directions
     are the axis (diag) and off-diagonal tangent vectors of the plane; the
-    gradient components are the criticality defects.  Returns the
-    gradients (2, M) and the Hessian entries (h00, h01, h11), (3, M).
+    gradient components are the criticality defects.  The name stays for
+    ``perfbench/tracing.py``, which looks the function up by it.
     """
     (a0, a1, a2), (b0, b1, b2) = x * x, y * y
     nx = a0 + a1 + a2
     ny = b0 + b1 + b2
-    x1 = (a0 - a2) / nx
-    x2 = 2.0 * x[0] * x[2] / nx
-    y1 = (b0 - b2) / ny
-    y2 = 2.0 * y[0] * y[2] / ny
-    xq = (a0 + a2) / nx
-    yq = (b0 + b2) / ny
-    grad = np.array([x1 - y1, x2 - y2])
-    hess = np.array([xq - x1 * x1 + yq - y1 * y1, -x1 * x2 - y1 * y2, xq - x2 * x2 + yq - y2 * y2])
-    return grad, hess
+    return np.array([(a0 - a2) / nx - (b0 - b2) / ny, 2.0 * x[0] * x[2] / nx - 2.0 * y[0] * y[2] / ny])
 
 
 def _move_value(x: np.ndarray, y: np.ndarray, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:

