@@ -54,6 +54,7 @@ from .flags import (
     ProjectivePoint,
     TangentDir,
     _act_rows,
+    _check_finite,
     _symmetric_function,
 )
 from .cones import DEFAULT_LOGLAM_RANGE, Multicone, _chart_rows, _check_tol, _classify_position, _positions
@@ -91,6 +92,7 @@ class HermitianMat:
         m = np.asarray(self.mat, dtype=complex)
         if m.shape != (3, 3):
             raise GeometryError(f"HermitianMat: expected 3x3, got {m.shape}")
+        _check_finite(m, "HermitianMat")
         scale = max(1.0, float(np.abs(m).max()))
         if float(np.abs(m - m.conj().T).max()) > 1e-12 * scale:
             raise GeometryError("HermitianMat: not Hermitian")
@@ -119,6 +121,7 @@ class NilpotentFlagMat:
 
 def _check_flag_mats(m: np.ndarray) -> None:
     """Raise unless every 3x3 matrix of the stack m is rank one, square zero, trace free."""
+    _check_finite(m, "NilpotentFlagMat")
     s = np.linalg.svd(m, compute_uv=False)
     s0 = s[..., 0]
     if np.any(s0 <= 0) or np.any(s[..., 1] > 1e-10 * s0):

@@ -175,10 +175,17 @@ class Flag:
         return f"Flag({self.line!r}, {self.plane!r})"
 
 
+def _check_finite(mat: np.ndarray, what: str) -> None:
+    """Raise on NaN or inf entries, which pass every tolerance test (a comparison with NaN is false)."""
+    if not np.isfinite(mat).all():
+        raise GeometryError(f"{what}: non-finite matrix entries")
+
+
 def _check_symmetric(mat: np.ndarray, what: str, tol: float = 1e-9) -> np.ndarray:
     mat = np.asarray(mat, dtype=float)
     if mat.shape != (3, 3):
         raise GeometryError(f"{what}: expected 3x3, got {mat.shape}")
+    _check_finite(mat, what)
     scale = max(1.0, float(np.abs(mat).max()))
     if float(np.abs(mat - mat.T).max()) > tol * scale:
         raise GeometryError(f"{what}: matrix is not symmetric")
@@ -207,6 +214,7 @@ class SpdPoint:
     def from_matrix(cls, mat) -> "SpdPoint":
         """Symmetrize and rescale to unit determinant before validating."""
         m = 0.5 * (np.asarray(mat, dtype=float) + np.asarray(mat, dtype=float).T)
+        _check_finite(m, "SpdPoint.from_matrix")
         det = float(np.linalg.det(m))
         if det <= 0:
             raise GeometryError("SpdPoint.from_matrix: non-positive determinant")
@@ -245,6 +253,7 @@ class GroupElem:
         m = np.asarray(self.mat, dtype=float)
         if m.shape != (3, 3):
             raise GeometryError(f"GroupElem: expected 3x3, got {m.shape}")
+        _check_finite(m, "GroupElem")
         det = float(np.linalg.det(m))
         if abs(det - 1.0) > 1e-10:
             raise GeometryError(f"GroupElem: determinant {det} != 1")
@@ -366,8 +375,7 @@ def distance(x: SpdPoint, y: SpdPoint) -> float:
 def gap_vector(g, eigenvalues: bool = True) -> GapVector:
     """Log singular-value gaps of g, and eigenvalue-modulus gaps if requested."""
     mat = g.mat if isinstance(g, GroupElem) else np.asarray(g, dtype=float)
-    if not np.all(np.isfinite(mat)):
-        raise GeometryError("gap_vector: non-finite matrix entries")
+    _check_finite(mat, "gap_vector")
     s = np.linalg.svd(mat, compute_uv=False)
     if s[2] <= 0:
         raise NumericalDomainError("gap_vector: singular matrix")

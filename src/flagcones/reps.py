@@ -37,7 +37,8 @@ one (N,3,3) matmul per position against the (8,3,3) letter or cofactor
 stack of the representation, and each exhaustive length is the previous
 length's two product stacks times their 7 reduced successors.  Sampling
 takes one seeded draw per length, letter for letter the draws of
-``random_reduced_word``.
+``random_reduced_word``, and a sampled word starts from the enumerated
+products of its prefix, so only its remaining letters are multiplied.
 Enumeration order is deterministic (length, then lexicographic in
 ``LETTERS`` order).
 """
@@ -194,18 +195,21 @@ def _letter_indices(word) -> np.ndarray:
         raise GeometryError(f"invalid letter {exc.args[0]}") from None
 
 
-def _sample_words(rng: np.random.Generator, n: int, length: int) -> np.ndarray:
-    """n seeded uniform reduced words as (n, length) letter indices.
+def _draw_offsets(rng: np.random.Generator, n: int, length: int) -> np.ndarray:
+    """(n, length) seeded offsets of n uniform reduced words.
 
     One ``rng.integers`` call draws every offset: 8 choices for a first
-    letter, 7 for each later one, mapped through the successor table.  The
-    draws, and the generator state afterwards, are those of n successive
-    ``random_reduced_word`` calls.
+    letter, 7 for each later one.  The draws, and the generator state
+    afterwards, are those of n successive ``random_reduced_word`` calls.
     """
     if length == 0:
         return np.empty((n, 0), dtype=np.intp)
-    offsets = rng.integers(np.tile(np.r_[8, np.full(length - 1, 7)], n)).reshape(n, length)
-    return _reduced_words(offsets)
+    return rng.integers(np.tile(np.r_[8, np.full(length - 1, 7)], n)).reshape(n, length)
+
+
+def _sample_words(rng: np.random.Generator, n: int, length: int) -> np.ndarray:
+    """n seeded uniform reduced words as (n, length) letter indices."""
+    return _reduced_words(_draw_offsets(rng, n, length))
 
 
 def _reduced_words(offsets: np.ndarray) -> np.ndarray:
@@ -215,7 +219,7 @@ def _reduced_words(offsets: np.ndarray) -> np.ndarray:
     successors of the letter before it.
     """
     idx = np.empty_like(offsets)
-    idx[:, 0] = offsets[:, 0]
+    idx[:, :1] = offsets[:, :1]
     for k in range(1, offsets.shape[1]):
         idx[:, k] = _SUCCESSORS[idx[:, k - 1], offsets[:, k]]
     return idx
@@ -460,17 +464,28 @@ def gap_scan(
     """Scan gaps over freely reduced words.
 
     Lengths up to exhaustive_len are enumerated completely (deterministic
-    order); longer lengths draw seeded uniform samples from the budget.
-    Eigenvalue gaps are recorded on cyclically reduced words only, as
-    conjugacy-class representatives.
+    order); longer lengths draw seeded uniform samples from the budget,
+    split evenly over them.  A budget smaller than the number of longer
+    lengths samples none of them and marks the scan ``partial``; a scan
+    left with no length at all raises ``GeometryError``.  Eigenvalue gaps
+    are recorded on cyclically reduced words only, as conjugacy-class
+    representatives.
+
+    A sampled word reuses the enumerated product of its first
+    K = max(exhaustive_len, 1) letters: its drawn offsets name that
+    prefix's row of the last enumerated length (the letter stack when
+    exhaustive_len is 0), and only its remaining letters are multiplied
+    on.  The enumeration multiplies left to right too, so each product
+    equals the left-to-right product of the word's letters bit for bit.
     """
     if max_len < 1:
         raise GeometryError("max_len must be at least 1")
     if exhaustive_len < 0:
         raise GeometryError("exhaustive_len must be nonnegative")
+    if sample_budget < 0:
+        raise GeometryError("sample_budget must be nonnegative")
     rng = np.random.default_rng(seed)
     rows = []
-    partial = False
 
     # a row needs only each word's first and last letters (for the cyclic test)
     first = last = np.arange(8)
@@ -483,19 +498,27 @@ def gap_scan(
             first, last = np.repeat(first, 7), successors.reshape(-1)
         rows.append(_length_row(length, first, last, mats, cofs))
 
-    extra = [L for L in range(exhaustive_len + 1, max_len + 1)]
-    if extra:
-        per_length = sample_budget // len(extra)
+    extra = range(exhaustive_len + 1, max_len + 1)
+    per_length = sample_budget // len(extra) if extra else 0
+    partial = bool(extra) and per_length == 0
+    if per_length:
+        # the last enumerated length is the prefix table; its row order
+        # makes a prefix's row the base-7 number of its offsets
+        k = max(exhaustive_len, 1)
+        place = 7 ** np.arange(k - 1, -1, -1)
         for L in extra:
-            if per_length <= 0:
-                partial = True
-                break
-            idx = _sample_words(rng, per_length, L)
+            offsets = _draw_offsets(rng, per_length, L)
+            at = offsets[:, :k] @ place
+            tail, p, c = last[at], np.take(mats, at, axis=0), np.take(cofs, at, axis=0)
             # long plain-float products can overflow; _length_row rejects them by length
             with np.errstate(over="ignore", invalid="ignore"):
-                mats = _word_products(rep._letters, idx)
-                cofs = _word_products(rep._cofactors, idx)
-            rows.append(_length_row(L, idx[:, 0], idx[:, -1], mats, cofs))
+                for j in range(k, L):
+                    tail = _SUCCESSORS[tail, offsets[:, j]]
+                    p = p @ rep._letters[tail]
+                    c = c @ rep._cofactors[tail]
+            rows.append(_length_row(L, offsets[:, 0], tail, p, c))
+    if not rows:
+        raise GeometryError(f"sample_budget {sample_budget} gives no length a word")
 
     lengths = np.array([r["length"] for r in rows], dtype=float)
     minima = np.array([r["min_sg12"] for r in rows], dtype=float)
@@ -525,13 +548,17 @@ def _length_row(length, first, last, mats, cofs):
     """
     if not (np.isfinite(mats).all() and np.isfinite(cofs).all()):
         raise GeometryError(f"word products of length {length} overflow float64")
-    sg12, sg23, lg12 = np.empty((3, len(mats)))
+    sg12, sg23 = np.empty((2, len(mats)))
     for lo in range(0, len(mats), _GAP_BLOCK):
         block = slice(lo, lo + _GAP_BLOCK)
         sg12[block], sg23[block] = _batch_gaps(mats[block], cofs[block])
-        lg12[block] = _batch_lg12(mats[block], cofs[block])
-    cyc = first != (last ^ 1)
-    min_lg12 = float(lg12[cyc].min()) if cyc.any() else math.nan
+    # the kernel acts row by row, so the gathered rows keep their bits
+    cyc = np.flatnonzero(first != (last ^ 1))
+    lg12 = np.empty(len(cyc))
+    for lo in range(0, len(cyc), _GAP_BLOCK):
+        at = cyc[lo:lo + _GAP_BLOCK]
+        lg12[lo:lo + _GAP_BLOCK] = _batch_lg12(np.take(mats, at, axis=0), np.take(cofs, at, axis=0))
+    min_lg12 = float(lg12.min()) if len(cyc) else math.nan
     return {
         "length": int(length),
         "count": len(mats),

@@ -10,9 +10,11 @@ import time
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, given, settings, strategies as st
 
 from flagcones.certificate import (
     default_grid,
+    model_matrices,
     pointing_vector,
     projector_pi,
     pushforward_check,
@@ -28,6 +30,10 @@ from flagcones.cones import (
     _position,
 )
 from flagcones.flags import (
+    Flag,
+    GroupElem,
+    ProjectiveCovector,
+    ProjectivePoint,
     SpdPoint,
     act_on_flag,
     act_on_point,
@@ -330,3 +336,40 @@ def test_criterion_9_algebraic_identities():
         f"{probes} probes clean, nilpotency={worst_nilp:.1e}, "
         f"real structure={worst_rs:.1e}, equivariance={worst_eq:.1e}",
     )
+
+
+# criterion 9 as properties: random draws beside the fixed samples above
+
+_ENTRIES = st.floats(-0.7, 0.7)
+_TRIPLES = st.tuples(_ENTRIES, _ENTRIES, _ENTRIES).map(np.array)
+_SL3 = st.tuples(_TRIPLES, _TRIPLES, _TRIPLES).map(np.stack)
+_ANGLES = st.floats(0.0, 2.0 * math.pi)
+
+
+def _exp_sl3(a) -> GroupElem:
+    """exp of the trace-free part of a, an element of SL(3,R)."""
+    return GroupElem(scipy.linalg.expm(a - np.trace(a) / 3.0 * np.eye(3)))
+
+
+@settings(deadline=None, max_examples=200)
+@given(g=_SL3, h=_SL3, line=_TRIPLES, plane=_TRIPLES)
+def test_criterion_9_busemann_equivariance_property(g, h, line, plane):
+    # b(g f, g o, g x) = b(f, o, x) for g, x = h o and f drawn entrywise
+    assume(np.linalg.norm(line) > 1e-3)
+    plane = plane - np.dot(plane, line) / np.dot(line, line) * line
+    assume(np.linalg.norm(plane) > 1e-3)
+    f = Flag(ProjectivePoint(line), ProjectiveCovector(plane))
+    g, origin = _exp_sl3(g), SpdPoint.identity()
+    x = act_on_point(_exp_sl3(h), origin)
+    lhs = busemann(act_on_flag(g, f), act_on_point(g, origin), act_on_point(g, x))
+    assert abs(lhs - busemann(f, origin, x)) <= 1e-10
+
+
+@settings(deadline=None, max_examples=200)
+@given(radius=st.floats(0.0, 0.99), phase=_ANGLES, d=st.floats(-2.0, 2.0), theta=_ANGLES)
+def test_criterion_9_real_structure_property(radius, phase, d, theta):
+    # every model matrix, fiber projector and pointing vector satisfies J conj(M) J = M
+    mm = model_matrices(radius * np.exp(1j * phase), d)
+    pi = projector_pi(np.exp(1j * theta))
+    for mat in (mm.h.mat, mm.h0.mat, mm.h0perp.mat, mm.ed, mm.hprime, pi.mat, pointing_vector(pi).mat):
+        assert real_structure_defect(mat) <= 1e-13

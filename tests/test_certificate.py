@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from flagcones.certificate import (
     CertGrid,
+    HermitianMat,
+    NilpotentFlagMat,
     PAIRING_SIGN,
     RegimeError,
     _corner_kernel,
@@ -101,6 +103,14 @@ def test_projector_rejects_bad_modulus():
 
     with pytest.raises(GeometryError):
         projector_pi(1.1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("cls", [HermitianMat, NilpotentFlagMat])
+def test_matrix_validators_reject_non_finite_entries(cls, bad):
+    # a NaN passes every tolerance comparison; an inf must not reach the SVD
+    with pytest.raises(GeometryError, match="non-finite"):
+        cls(np.full((3, 3), bad))
 
 
 def test_projector_flag_matches_fiber():

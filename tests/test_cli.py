@@ -203,6 +203,15 @@ def test_gap_scan_irr_doubles_minima(tmp_path):
         assert i["min_sg12"] == pytest.approx(2 * r["min_sg12"], rel=1e-9)
 
 
+def test_gap_scan_negative_budget_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["gap-scan", "--family", "red", "--max-len", "7", "--budget", "-5",
+             "--out-prefix", str(tmp_path / "neg")])
+    assert exc.value.code == 2
+    assert "sample_budget" in capsys.readouterr().err
+    assert not (tmp_path / "neg_summary.json").exists()
+
+
 def test_gap_scan_overflowing_words_usage_error(tmp_path, capsys):
     prefix = tmp_path / "long"
     with pytest.raises(SystemExit) as exc:

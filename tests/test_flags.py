@@ -377,6 +377,14 @@ def test_gap_vector_rejects_non_finite_entries(bad):
         gap_vector(np.full((3, 3), bad))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("build", [GroupElem, TangentDir, SpdPoint, SpdPoint.from_matrix])
+def test_matrix_validators_reject_non_finite_entries(build, bad):
+    # a NaN passes every tolerance comparison; an inf must not reach det or eigh
+    with pytest.raises(GeometryError, match="non-finite"):
+        build(np.full((3, 3), bad))
+
+
 def test_gap_vector_singular_matrix():
     with pytest.raises(NumericalDomainError, match="singular"):
         gap_vector(np.diag([1.0, 1.0, 0.0]))

@@ -207,6 +207,17 @@ def test_gap_scan_sampling_beyond_exhaustive():
         gap_scan(RED, 3, exhaustive_len=-1)
 
 
+def test_gap_scan_budget_validation():
+    with pytest.raises(GeometryError, match="sample_budget"):
+        gap_scan(RED, 7, sample_budget=-5)
+    # budget 0 samples no length: the enumerated rows remain, marked partial
+    scan = gap_scan(RED, 7, sample_budget=0)
+    assert scan.partial and [r["length"] for r in scan.rows] == [1, 2, 3, 4, 5]
+    # with nothing enumerated either, no row is left to report
+    with pytest.raises(GeometryError, match="no length"):
+        gap_scan(RED, 3, sample_budget=2, exhaustive_len=0)
+
+
 def test_gap_scan_rejects_overflowing_products():
     # plain float products of the irreducible family overflow near length 260
     with pytest.raises(GeometryError, match="length"):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from flagcones.flags import GeometryError
 from flagcones.reps import (
     LETTERS,
     _SUCCESSORS,
@@ -82,8 +83,14 @@ def _scalar_scan(rep, max_len, sample_budget, seed, exhaustive_len=5):
             break
         words = [_scalar_word(rng, L) for _ in range(sample_budget // len(extra))]
         rows.append(_scalar_row(rep, L, words, np.stack([_scalar_product(rep, w) for w in words])))
-    coef = np.polyfit([r["length"] for r in rows], [r["min_sg12"] for r in rows], 1)
-    return {"A": float(coef[0]), "B": float(-coef[1]), "family": rep.family,
+    if not rows:
+        raise GeometryError("no length has a word")
+    if len(rows) == 1:
+        slope, offset = rows[0]["min_sg12"], 0.0
+    else:
+        coef = np.polyfit([r["length"] for r in rows], [r["min_sg12"] for r in rows], 1)
+        slope, offset = float(coef[0]), float(-coef[1])
+    return {"A": slope, "B": offset, "family": rep.family,
             "parameters": dict(rep.params), "seed": seed, "max_len": max_len,
             "exhaustive_len": exhaustive_len, "partial": partial, "rows": rows}
 
@@ -129,6 +136,23 @@ def test_gap_scan_matches_scalar_reference(family, seed, budget):
     # compared as report text, where a NaN minimum (no cyclically reduced sample) equals itself
     scan = gap_scan(rep, 7, sample_budget=budget, seed=seed).to_json()
     assert json.dumps(scan) == json.dumps(_scalar_scan(rep, 7, budget, seed))
+
+
+@pytest.mark.parametrize("exhaustive_len", range(6))
+@settings(deadline=None, max_examples=8)
+@given(family=st.sampled_from(sorted(FAMILIES)), max_len=st.integers(1, 9), seed=SEEDS, budget=st.integers(0, 40))
+def test_gap_scan_prefix_table_matches_scalar_reference(exhaustive_len, family, max_len, seed, budget):
+    # sampled words start from the enumerated products of their first
+    # max(exhaustive_len, 1) letters; the report must not tell
+    rep = FAMILIES[family]
+    try:
+        expected = json.dumps(_scalar_scan(rep, max_len, budget, seed, exhaustive_len))
+    except GeometryError:
+        with pytest.raises(GeometryError, match="no length"):
+            gap_scan(rep, max_len, sample_budget=budget, seed=seed, exhaustive_len=exhaustive_len)
+        return
+    scan = gap_scan(rep, max_len, sample_budget=budget, seed=seed, exhaustive_len=exhaustive_len)
+    assert json.dumps(scan.to_json()) == expected
 
 
 def _norms(mats):
