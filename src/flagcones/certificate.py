@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -57,7 +57,7 @@ from .flags import (
     _check_finite,
     _symmetric_function,
 )
-from .cones import DEFAULT_LOGLAM_RANGE, Multicone, _chart_rows, _check_tol, _classify_position, _positions
+from .cones import Multicone, _chart_grid, _check_tol, _classify_position, _positions
 
 #: Antidiagonal real structure: admissible matrices satisfy J conj(M) J = M.
 REAL_STRUCTURE = np.array(
@@ -412,21 +412,7 @@ class CertReport:
     runtime_s: float
 
     def to_json(self) -> dict:
-        return {
-            "min_margin": self.min_margin,
-            "min_eta": self.min_eta,
-            "argmin": dict(self.argmin),
-            "oracle_dev": self.oracle_dev,
-            "grid": dict(self.grid),
-            "beta0_max_abs_margin": self.beta0_max_abs_margin,
-            "eta_floor_gap_min": self.eta_floor_gap_min,
-            "analytic_floor_gap": self.analytic_floor_gap,
-            "bounded_surrogate_max": self.bounded_surrogate_max,
-            "pairing_sign": self.pairing_sign,
-            "sign_constant": self.sign_constant,
-            "n_cells": self.n_cells,
-            "runtime_s": self.runtime_s,
-        }
+        return asdict(self)
 
 
 def _corner_kernel(p: np.ndarray) -> np.ndarray:
@@ -562,11 +548,9 @@ def pushforward_check(
     cone = Multicone.model(0.0)
     n_lam = max(2, int(math.isqrt(n_samples)))
     n_theta = max(2, int(math.ceil(n_samples / n_lam)))
-    lams = np.exp(np.linspace(*DEFAULT_LOGLAM_RANGE, n_lam))
-    thetas = np.linspace(0.0, 2 * math.pi, n_theta, endpoint=False)
-    flags = _chart_rows(cone, np.tile(thetas, n_lam)[:n_samples], np.repeat(lams, n_theta)[:n_samples])
+    lines, planes = _chart_grid(cone, n_theta, n_lam)
     flow = GroupElem(_symmetric_function(t_step * flow_generator(b).mat, np.exp))
-    boundary, value = _positions(cone, *_act_rows(flow, *flags))
+    boundary, value = _positions(cone, *_act_rows(flow, lines[:n_samples], planes[:n_samples]))
     classes = _classify_position(boundary, value, tol)
     counts = {k: int(np.count_nonzero(classes == k)) for k in ("inside", "boundary", "outside")}
     interior = value[~boundary]

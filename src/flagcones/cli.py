@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 certificate or solve failure or a numerical
 failure (``plane.ProjectionError``: a flag with no interior projection in
-float; ``flags.NumericalDomainError``), reported in one line on standard
+float; ``flags.NumericalDomainError``; ``reps.NonHyperbolicError``: the
+conic check ran out of hyperbolic draws), reported in one line on standard
 error, 2 usage error, such as a ``--point`` that ``PlanePoint`` rejects.
 Reports are JSON with sorted keys, byte-identical for identical seeds and
 flags except the certificate report's ``runtime_s`` (the sweep's wall
@@ -249,12 +250,13 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args, parser)
+    # a NonHyperbolicError is a GeometryError, but no usage error
+    except (ProjectionError, NumericalDomainError, reps.NonHyperbolicError) as exc:
+        print(f"flagcones {args.command}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
     except (GeometryError, pde.DomainError) as exc:
         parser.error(str(exc))
         return 2
-    except (ProjectionError, NumericalDomainError) as exc:
-        print(f"flagcones {args.command}: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

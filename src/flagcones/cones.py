@@ -182,6 +182,13 @@ def _chart_rows(cone: Multicone, theta, lam) -> tuple[np.ndarray, np.ndarray]:
     return _act_rows(carrier, *raw)
 
 
+def _chart_grid(cone: Multicone, n_theta: int, n_lam: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_chart_rows`` on the n_theta x n_lam grid: theta fastest, log lam evenly over the default range."""
+    thetas = np.linspace(0.0, 2 * math.pi, n_theta, endpoint=False)
+    lams = np.exp(np.linspace(*DEFAULT_LOGLAM_RANGE, n_lam))
+    return _chart_rows(cone, np.tile(thetas, n_lam), np.repeat(lams, n_theta))
+
+
 def boundary_chart(cone: Multicone, theta: float, lam: float) -> Flag:
     """Smooth chart of the cone's boundary cylinder.
 
@@ -214,9 +221,7 @@ def _wedge_circle_flags(x: np.ndarray, y: np.ndarray, n: int) -> tuple[np.ndarra
 
 def boundary_sample_flags(cone: Multicone, n_grid: int) -> tuple[np.ndarray, np.ndarray]:
     """Flag rows covering the cone's boundary: chart grid, then per side flag the flag and its wedges."""
-    thetas = np.linspace(0.0, 2 * math.pi, n_grid, endpoint=False)
-    lams = np.exp(np.linspace(*DEFAULT_LOGLAM_RANGE, n_grid))
-    parts = [_chart_rows(cone, np.tile(thetas, n_grid), np.repeat(lams, n_grid))]
+    parts = [_chart_grid(cone, n_grid, n_grid)]
     for f in side_flags(cone):
         parts.append((f.line.coords[None], f.plane.coords[None]))
         parts.append(_wedge_circle_flags(f.line.coords, f.plane.coords, DEFAULT_WEDGE_SAMPLES // 2))

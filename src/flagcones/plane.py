@@ -16,10 +16,11 @@ and ``_conic_rows``), boundary fibers are thickenings
 Projection is batched: ``_project_rows`` takes N flags as (N, 3) line and
 covector rows and returns per-row arrays; ``project`` is its one-row case.
 The interior point is the exact minimizer, in closed form (derived in
-``_project_rows``).  Every operation acts on each row alone.  The kernel
-does not validate its input: rows come from ``Flag`` objects or from the
-row kernels of ``flags`` (``_pullback_rows`` for a frame), which check
-finiteness, unit normalization and incidence.
+``_project_rows``), and boundary rows are those where a factor x1 or y1
+of its divisor is 0 to ``BOUNDARY_TOL``.  Every operation acts on each
+row alone.  The kernel does not validate its input: rows come from
+``Flag`` objects or from the row kernels of ``flags`` (``_pullback_rows``
+for a frame), which check finiteness, unit normalization and incidence.
 
 Pure operations on immutable values; safe for concurrent use.
 """
@@ -33,7 +34,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .flags import (
-    SPECTRAL_TOL,
     Flag,
     GeometryError,
     GroupElem,
@@ -246,30 +246,22 @@ def boundary_fiber_contains(a: BoundaryPoint, f: Flag) -> bool:
 
 
 def _detect_boundary(x: np.ndarray, y: np.ndarray, tol: float):
-    """Exact boundary detection on rows: which flags share a component with a boundary flag.
+    """Boundary detection on rows: which flags lie in the thickening of a boundary flag.
 
-    ``x`` and ``y`` are (3, N) line and covector components.  The two
-    candidate boundary points come from the line and from the plane, in
-    that order; returns the hit mask and the angle phi in [0, 2 pi) of the
-    first candidate whose thickening contains the flag (nan elsewhere).
+    ``x`` and ``y`` are (3, N) unit line and covector components.  A flag
+    shares its line with a boundary flag ([c : 0 : s], [-s : 0 : c]) exactly
+    where x1 = 0 and its plane where y1 = 0, the factors of the divisor of
+    ``_project_rows``; a hit is |x1| <= tol or |y1| <= tol.  phi in [0, 2 pi)
+    (nan off the hits) is the line's angle where |x1| <= tol or the line's
+    boundary flag has plane gap |y1| / hypot(x0, x2) <= tol (by incidence),
+    unless the line is within tol of [0 : 1 : 0]; else it is the plane's.
     """
-    hit = np.zeros(x.shape[1], dtype=bool)
-    phi = np.full(x.shape[1], np.nan)
-    candidates = (
-        (np.hypot(x[0], x[2]) > tol, np.arctan2(x[2], x[0])),
-        (np.hypot(y[0], y[2]) > tol, np.arctan2(-y[0], y[2])),
-    )
-    for valid, angle in candidates:
-        angle = angle % (2 * math.pi)
-        c, s = np.cos(angle), np.sin(angle)
-        # thickening membership: the boundary flag ([c:0:s], [-s:0:c]) shares
-        # the line or the plane (cross product norms, as ``same_as``)
-        line_gap = np.sqrt((x[1] * s) ** 2 + (x[2] * c - x[0] * s) ** 2 + (x[1] * c) ** 2)
-        plane_gap = np.sqrt((y[1] * c) ** 2 + (y[2] * s + y[0] * c) ** 2 + (y[1] * s) ** 2)
-        new = valid & ~hit & ((line_gap <= SPECTRAL_TOL) | (plane_gap <= SPECTRAL_TOL))
-        phi[new] = angle[new]
-        hit |= new
-    return hit, phi
+    h = np.hypot(x[0], x[2])
+    x1, y1 = np.abs(x[1]), np.abs(y[1])
+    hit = (x1 <= tol) | (y1 <= tol)
+    from_line = (h > tol) & ((x1 <= tol) | (y1 <= tol * h))
+    angle = np.where(from_line, np.arctan2(x[2], x[0]), np.arctan2(-y[0], y[2])) % (2 * math.pi)
+    return hit, np.where(hit, angle, np.nan)
 
 
 def _tangent_grad_hess(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -286,26 +278,9 @@ def _tangent_grad_hess(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.array([(a0 - a2) / nx - (b0 - b2) / ny, 2.0 * x[0] * x[2] / nx - 2.0 * y[0] * y[2] / ny])
 
 
-def _move_value(x: np.ndarray, y: np.ndarray, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
-    """Horofunction changes when moving each base by exp(s1 V_axis + s2 V_orth).
-
-    No kernel calls it; it is kept because ``perfbench/tracing.py`` looks
-    it up, with ``_tangent_grad_hess``, by module attribute.
-    """
-    r = np.hypot(s1, s2)
-    rs = np.clip(r, 1e-150, 700.0)  # the branches below replace the clipped rows
-    ch = np.cosh(rs)
-    shr = np.where(r > 1e-150, np.sinh(rs) / rs, 1.0)
-    (a0, a1, a2), (b0, b1, b2) = x * x, y * y
-    up, down, cross = ch + shr * s1, ch - shr * s1, 2.0 * shr * s2
-    qx = up * a0 + a1 + down * a2 + cross * x[0] * x[2]
-    qy = down * b0 + b1 + up * b2 - cross * y[0] * y[2]
-    nx = a0 + a1 + a2
-    ny = b0 + b1 + b2
-    finite = (r <= 700.0) & (qx > 0) & (qy > 0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        value = np.log(qx / nx) + np.log(qy / ny)
-    return np.where(finite, value, np.inf)
+def _move_value(*args):
+    """Removed with the Newton projection; the name stays because ``perfbench/tracing.py`` resolves it."""
+    raise NotImplementedError("plane._move_value was removed with the Newton projection")
 
 
 #: Boundary-detection tolerance of ``_project_rows``.
@@ -328,10 +303,9 @@ class ProjectedRows(NamedTuple):
 def _project_rows(lines: np.ndarray, planes: np.ndarray) -> ProjectedRows:
     """Project N validated flag rows onto the closed model plane.
 
-    Boundary fibers are detected exactly by thickening membership against
-    the two candidate boundary flags determined by the line and the plane.
-    Every other row has x1 y1 != 0 (x the line, y the covector) and goes to
-    the minimizer of its horofunction:
+    Rows with x1 or y1 within ``BOUNDARY_TOL`` of 0 (x the line, y the
+    covector) lie on boundary fibers (``_detect_boundary``).  Every other
+    row goes to the minimizer of its horofunction:
 
         s = |x1 y1| |x0 y0 + x2 y2|,
         a = (x1^2 y0^2 + y1^2 x2^2) / s,  b = (x1^2 y2^2 + y1^2 x0^2) / s,

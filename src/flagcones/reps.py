@@ -123,27 +123,13 @@ def octagon_fuchsian() -> tuple:
     (translation length 2 arccosh(1 + sqrt 2)).  The relation residual is
     verified at build time.
     """
-    letters = {}
-    for k, t in enumerate(octagon_translations(), start=1):
-        letters[k] = t
-        letters[-k] = np.linalg.inv(t)
-    quad = []
-    for w in _OCTAGON_WORDS:
-        m = np.eye(2)
-        for l in w:
-            m = m @ letters[l]
-        if np.trace(m) < 0:
-            m = -m
-        quad.append(m)
-    out = tuple(quad)
-
-    word8 = np.eye(2)
-    for m in (out[0], out[1], np.linalg.inv(out[0]), np.linalg.inv(out[1]),
-              out[2], out[3], np.linalg.inv(out[2]), np.linalg.inv(out[3])):
-        word8 = word8 @ m
-    if float(np.abs(word8 - np.eye(2)).max()) > 1e-9:
+    letters = _letter_stack(octagon_translations())
+    quad = np.stack([_word_products(letters, _letter_indices(w)[None])[0] for w in _OCTAGON_WORDS])
+    quad = np.where(np.trace(quad, axis1=1, axis2=2)[:, None, None] < 0, -quad, quad)
+    relation = _word_products(_letter_stack(quad), _letter_indices(RELATION_WORD)[None])[0]
+    if float(np.abs(relation - np.eye(2)).max()) > 1e-9:
         raise GeometryError("octagon construction: relation residual too large")
-    return out
+    return tuple(quad)
 
 
 def iota_red(a2) -> GroupElem:
@@ -229,9 +215,14 @@ def random_reduced_word(rng: np.random.Generator, length: int) -> tuple:
     return tuple(_LETTER_VALUES[_sample_words(rng, 1, length)[0]].tolist())
 
 
+def _letter_stack(gens) -> np.ndarray:
+    """The (8, n, n) letter stack of four generator matrices: g1, g1^-1, ..., g4, g4^-1, in ``LETTERS`` order."""
+    return np.stack([m for g in gens for m in (g, np.linalg.inv(g))])
+
+
 def _word_products(letters: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """(N,3,3) images of the (N, length) index words, multiplied left to right from the identity."""
-    out = np.tile(np.eye(3), (idx.shape[0], 1, 1))
+    """(N,n,n) images of the (N, length) index words, multiplied left to right from the identity."""
+    out = np.tile(np.eye(letters.shape[-1]), (idx.shape[0], 1, 1))
     for k in range(idx.shape[1]):
         out = out @ letters[idx[:, k]]
     return out
@@ -252,12 +243,8 @@ class Representation:
         for name in GENERATOR_NAMES:
             if name not in self.images:
                 raise GeometryError(f"missing generator image {name!r}")
-        letters = []
-        for name in GENERATOR_NAMES:
-            g = self.images[name]
-            m = g.mat if isinstance(g, GroupElem) else np.asarray(g, dtype=float)
-            letters += [m, np.linalg.inv(m)]
-        letters = np.stack(letters)
+        images = [self.images[name] for name in GENERATOR_NAMES]
+        letters = _letter_stack([g.mat if isinstance(g, GroupElem) else np.asarray(g, dtype=float) for g in images])
         letters.setflags(write=False)
         object.__setattr__(self, "_letters", letters)
         # cof A = A^-T for det 1, and letter i ^ 1 is the inverse of letter i
@@ -317,7 +304,8 @@ def barbot_twist(fuchsian, chi) -> Representation:
 class GapScan:
     """Per-length gap statistics and the fitted linear growth of the minima.
 
-    The fit is min_sg12(length) ~ slope_a * length - offset_b.
+    The fit is min_sg12(length) ~ slope_a * length - offset_b; a scan with
+    one length has no fit, and both are NaN.
     """
 
     rows: tuple
@@ -520,13 +508,10 @@ def gap_scan(
     if not rows:
         raise GeometryError(f"sample_budget {sample_budget} gives no length a word")
 
-    lengths = np.array([r["length"] for r in rows], dtype=float)
-    minima = np.array([r["min_sg12"] for r in rows], dtype=float)
+    slope_a = offset_b = math.nan  # one length has no slope
     if len(rows) >= 2:
-        coef = np.polyfit(lengths, minima, 1)
+        coef = np.polyfit([r["length"] for r in rows], [r["min_sg12"] for r in rows], 1)
         slope_a, offset_b = float(coef[0]), float(-coef[1])
-    else:
-        slope_a, offset_b = float(minima[0]), 0.0
     return GapScan(
         rows=tuple(rows),
         slope_a=slope_a,

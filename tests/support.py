@@ -2,9 +2,10 @@
 
 None of this is library code.  The CLI and the benchmark never call it;
 the tests use it to draw flags and group elements, change frames, walk
-plane geodesics, project a flag in 60-digit arithmetic, bisect a nest
-estimate, evaluate the certificate oracle by broadcasting, read a field
-CSV back and reduce words cyclically.
+plane geodesics, detect boundary rows by the two-candidate search,
+project a flag in 60-digit arithmetic, bisect a nest estimate, evaluate
+the certificate oracle by broadcasting, read a field CSV back and reduce
+words cyclically.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from flagcones.certificate import HermitianMat, _field_corner, _hprime_closed
 from flagcones.cones import INSIDE, _classify_position
 from flagcones.flags import (
     FRAME_TO_COMPLEX,
+    SPECTRAL_TOL,
     _FRAME_TO_REAL,
     Flag,
     GeometryError,
@@ -106,6 +108,33 @@ def plane_geodesic_point(p: PlanePoint, q: PlanePoint, s: float) -> PlanePoint:
     m = (ev * np.power(w, s)) @ ev.T
     out = sp @ m @ sp
     return PlanePoint(float(out[0, 0]), float(out[1, 1]), float(out[0, 1]))
+
+
+def reference_detect_boundary(x: np.ndarray, y: np.ndarray, tol: float):
+    """Boundary detection by the two-candidate search: the reference for ``plane._detect_boundary``.
+
+    ``x`` and ``y`` are (3, N) line and covector components.  The candidate
+    boundary flags come from the line's angle and from the plane's angle,
+    in that order (a candidate needs its outer part longer than ``tol``);
+    a row hits the first candidate whose line or plane it shares to
+    ``SPECTRAL_TOL``, by cross-product norms as ``Flag.same_as`` measures
+    them.  Returns the hit mask and phi in [0, 2 pi) (nan elsewhere).
+    """
+    hit = np.zeros(x.shape[1], dtype=bool)
+    phi = np.full(x.shape[1], np.nan)
+    candidates = (
+        (np.hypot(x[0], x[2]) > tol, np.arctan2(x[2], x[0])),
+        (np.hypot(y[0], y[2]) > tol, np.arctan2(-y[0], y[2])),
+    )
+    for valid, angle in candidates:
+        angle = angle % (2 * math.pi)
+        c, s = np.cos(angle), np.sin(angle)
+        line_gap = np.sqrt((x[1] * s) ** 2 + (x[2] * c - x[0] * s) ** 2 + (x[1] * c) ** 2)
+        plane_gap = np.sqrt((y[1] * c) ** 2 + (y[2] * s + y[0] * c) ** 2 + (y[1] * s) ** 2)
+        new = valid & ~hit & ((line_gap <= SPECTRAL_TOL) | (plane_gap <= SPECTRAL_TOL))
+        phi[new] = angle[new]
+        hit |= new
+    return hit, phi
 
 
 def reference_projection(line, covector, digits=60, grad_tol=1e-40, max_iter=200):

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from flagcones.cli import main
 from flagcones.cones import DEFAULT_TOL
 from flagcones.flags import Flag, NumericalDomainError, ProjectiveCovector, ProjectivePoint
 from flagcones.plane import ProjectionError, project
+from flagcones.reps import NonHyperbolicError
 
 
 def run(args):
@@ -174,6 +176,13 @@ def test_gap_scan_command_and_determinism(tmp_path):
     assert (tmp_path / "s1_summary.json").read_bytes() == (tmp_path / "s2_summary.json").read_bytes()
     summary = json.loads((tmp_path / "s1_summary.json").read_text())
     assert summary["family"] == "reducible-fuchsian"
+
+
+def test_gap_scan_one_length_writes_nan_slope(tmp_path):
+    assert run(["gap-scan", "--family", "red", "--max-len", "1", "--out-prefix", str(tmp_path / "one")]) == 0
+    summary = json.loads((tmp_path / "one_summary.json").read_text())
+    assert len(summary["rows"]) == 1
+    assert math.isnan(summary["A"]) and math.isnan(summary["B"])
 
 
 def test_gap_scan_barbot_zero_matches_red(tmp_path):
@@ -383,7 +392,10 @@ def test_fiber_accepts_far_points(tmp_path):
     assert data.shape == (8, 8) and np.all(np.isfinite(data))
 
 
-@pytest.mark.parametrize("error", [ProjectionError("no convergence"), NumericalDomainError("overflow")])
+@pytest.mark.parametrize(
+    "error",
+    [ProjectionError("no convergence"), NumericalDomainError("overflow"), NonHyperbolicError("no hyperbolic draws")],
+)
 def test_numerical_failure_exits_one_with_one_line(tmp_path, capsys, monkeypatch, error):
     def failing(args, parser):
         raise error

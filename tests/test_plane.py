@@ -8,6 +8,7 @@ from flagcones.flags import (
     Flag,
     ProjectiveCovector,
     ProjectivePoint,
+    _flag_rows,
     act_on_flag,
     pullback_flag,
 )
@@ -24,7 +25,13 @@ from flagcones.plane import (
     plane_sqrt_frame,
     project,
 )
-from support import plane_geodesic_point, random_flag, random_group_elem, reference_projection
+from support import (
+    plane_geodesic_point,
+    random_flag,
+    random_group_elem,
+    reference_detect_boundary,
+    reference_projection,
+)
 
 
 def std_flag(x, y):
@@ -281,6 +288,63 @@ def test_batched_projection_agrees_with_scalar_newton(flags):
             ref = PlanePoint(*value)
             assert abs(PlanePoint(a, b, c).sigma - ref.sigma) <= 1e-12
             assert np.abs(rows.point[:, i] - np.array(value)).max() <= 1e-11 * (ref.a + ref.b)
+
+
+def _near_boundary_row(phi, psi, eps, small_line):
+    """A flag whose line (or plane) has middle entry eps, within eps of the boundary flag at phi.
+
+    The other component is the incident one at angle psi from that boundary
+    flag's; psi = pi/2 turns it towards [0 : 1 : 0].
+    """
+    c, s = math.cos(phi), math.sin(phi)
+    line, covector = np.array([c, 0.0, s]), np.array([-s, 0.0, c])
+    if small_line:
+        line[1] = eps
+        normal = np.cross(line, covector)
+        covector = math.cos(psi) * covector + math.sin(psi) * normal / np.linalg.norm(normal)
+    else:
+        covector[1] = eps
+        normal = np.cross(covector, line)
+        line = math.cos(psi) * line + math.sin(psi) * normal / np.linalg.norm(normal)
+    return line, covector
+
+
+#: 0, or +-10^e with e anywhere in [-14, -6] and often within half a decade of BOUNDARY_TOL.
+_EPS = st.one_of(
+    st.just(0.0),
+    st.builds(
+        lambda e, sign: sign * 10.0**e,
+        st.one_of(st.floats(-14.0, -6.0), st.floats(-10.5, -9.5)),
+        st.sampled_from([-1.0, 1.0]),
+    ),
+)
+
+NEAR_BOUNDARY_ROWS = st.builds(
+    _near_boundary_row,
+    ANGLES,
+    st.one_of(ANGLES, st.sampled_from([0.0, math.pi / 2, math.pi])),
+    _EPS,
+    st.booleans(),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(rows=st.lists(NEAR_BOUNDARY_ROWS, min_size=1, max_size=16))
+def test_boundary_test_matches_two_candidate_search(rows):
+    # the closed-form test (|x1| or |y1| against the tolerance) gives the
+    # hit mask and the phi bits of the two-candidate thickening search.
+    # Exception: a row with |x1|, |y1| or the line candidate's plane gap
+    # |y1| / hypot(x0, x2) within 1e-10 relative of BOUNDARY_TOL, where the
+    # search's cross-product norms carry rounding of about 1e-16 absolute
+    # (measured: up to 3.4e-11 relative) and may fall on the other side
+    lines, planes = _flag_rows(*map(np.array, zip(*rows)))
+    x, y = lines.T.copy(), planes.T.copy()
+    hit, phi = plane._detect_boundary(x, y, plane.BOUNDARY_TOL)
+    ref_hit, ref_phi = reference_detect_boundary(x, y, plane.BOUNDARY_TOL)
+    gaps = np.stack([np.abs(x[1]), np.abs(y[1]), np.abs(y[1]) / np.hypot(x[0], x[2])])
+    at_tol = np.any(np.abs(gaps / plane.BOUNDARY_TOL - 1.0) <= 1e-10, axis=0)
+    assert np.array_equal(hit[~at_tol], ref_hit[~at_tol])
+    assert np.array_equal(phi[~at_tol], ref_phi[~at_tol], equal_nan=True)
 
 
 @settings(deadline=None, max_examples=200)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from flagcones.cones import DEFAULT_TOL
 from flagcones.flags import Flag, GeometryError, ProjectiveCovector, ProjectivePoint, gap_vector
 from flagcones.plane import conic_eval
 from flagcones.reps import (
@@ -184,6 +185,13 @@ def test_gap_scan_length_one_values():
     assert scan.rows[0]["min_lg12"] == pytest.approx(OCTAGON_HALF_LENGTH, abs=1e-4)
     scan_irr = gap_scan(IRR, 1)
     assert scan_irr.rows[0]["min_lg12"] == pytest.approx(2 * OCTAGON_HALF_LENGTH, abs=1e-4)
+
+
+def test_gap_scan_one_length_has_no_slope():
+    # one row fits no line: the slope and offset are NaN, not the row's minimum
+    scan = gap_scan(RED, 1)
+    assert len(scan.rows) == 1 and scan.rows[0]["min_sg12"] > 1.5
+    assert math.isnan(scan.slope_a) and math.isnan(scan.offset_b)
 
 
 def test_gap_scan_counts_and_fit():
@@ -450,6 +458,15 @@ def test_flow_nesting_certify():
     assert all(b > a for a, b in zip(estimates, estimates[1:]))
     for r in report["results"]:
         assert r["estimate"] == pytest.approx(r["t"] / 2, rel=0.05)
+
+
+def test_flow_nesting_estimates_resolved_to_t_12():
+    # the README's resolved range: at angle 0 and the CLI's 512 samples each
+    # estimate is (t - tol)/2 to 1e-11 relative for t up to 12 (2.7e-12 at
+    # worst on a 0.05 grid); past it the error grows with t, 2.6e-2 at t = 37
+    report = flow_nesting_certify(0.0, np.arange(0.25, 12.01, 0.25), 512)
+    for r in report["results"]:
+        assert r["estimate"] == pytest.approx((r["t"] - DEFAULT_TOL) / 2, rel=1e-11, abs=0)
 
 
 def test_flow_nesting_zero_time_not_nested():

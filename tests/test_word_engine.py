@@ -85,9 +85,8 @@ def _scalar_scan(rep, max_len, sample_budget, seed, exhaustive_len=5):
         rows.append(_scalar_row(rep, L, words, np.stack([_scalar_product(rep, w) for w in words])))
     if not rows:
         raise GeometryError("no length has a word")
-    if len(rows) == 1:
-        slope, offset = rows[0]["min_sg12"], 0.0
-    else:
+    slope = offset = math.nan  # one length has no slope
+    if len(rows) > 1:
         coef = np.polyfit([r["length"] for r in rows], [r["min_sg12"] for r in rows], 1)
         slope, offset = float(coef[0]), float(-coef[1])
     return {"A": slope, "B": offset, "family": rep.family,
